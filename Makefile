@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race serve-smoke check bench-obs bench-baseline bench-check profile-milk profile-serve
+.PHONY: all build vet test test-race serve-smoke check bench bench-obs bench-baseline bench-check profile-milk profile-serve
 
 all: check
 
@@ -28,15 +28,17 @@ test:
 # job engine (internal/serve store + worker pool + HTTP handlers), the
 # sharded blacklist (internal/gsb concurrent observe/lookup under the
 # pipelined poller), the incremental campaign store (internal/campstore
-# concurrent appenders/readers against one mutex-guarded store), plus
-# the root package (worker-count determinism contract on the serialized
-# report).
+# concurrent appenders/readers against one mutex-guarded store), the
+# synthetic web the parallel crawl hits (internal/secamp concurrent
+# attack-domain minting, internal/adnet request-keyed fills), plus the
+# root package (worker-count determinism contract on the serialized
+# report, crawl widths included).
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/crawler/... ./internal/core/... \
 		./internal/cluster/... ./internal/vclock/... ./internal/gsb/... \
 		./internal/imaging/... ./internal/screenshot/... ./internal/phash/... \
 		./internal/adscript/... ./internal/browser/... ./internal/serve/... \
-		./internal/campstore/... .
+		./internal/campstore/... ./internal/secamp/... ./internal/adnet/... .
 
 # Service-mode smoke test (also part of plain `make test`): boot the
 # real seacma-serve daemon on a random port, submit the example job
@@ -47,6 +49,14 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -v ./cmd/seacma-serve/
 
 check: build vet test test-race
+
+# The end-to-end benchmark (seacmabench/): builds the harness and the
+# seacma-serve daemon under .bench_build/ and prints one JSON result
+# line per run. Pick the workload and run shape with
+#   make bench BENCH_ARGS="--workload milk --seed 2 --seconds 30 --trace 1"
+BENCH_ARGS ?= --workload crawl --seed 1 --seconds 30 --trace 0
+bench:
+	bash seacmabench/run.sh $(BENCH_ARGS)
 
 # Overhead guard: the uninstrumented (nil-registry) hot path.
 bench-obs:

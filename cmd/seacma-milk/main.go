@@ -45,7 +45,7 @@ func parseFlags(args []string) (*milkConfig, error) {
 		interval = fs.Int("interval", 15, "milking interval in virtual minutes (paper: 15)")
 		tiny     = fs.Bool("tiny", false, "use the tiny smoke-test world")
 		metrics  = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
-		workers  = fs.Int("workers", 0, "worker count for the parallel stages (0 = per-stage defaults; milking output is identical for any value)")
+		workers  = fs.Int("workers", 0, "worker count for the parallel stages (0 = per-stage defaults; output is identical for any value)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this file")
 	)

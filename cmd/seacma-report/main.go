@@ -48,7 +48,7 @@ func parseFlags(args []string) (*reportConfig, error) {
 		tiny     = fs.Bool("tiny", false, "use the tiny smoke-test world")
 		jsonFile = fs.String("json", "", "also write the full machine-readable report to this file")
 		metrics  = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
-		workers  = fs.Int("workers", 0, "worker count for the parallel stages (0 = per-stage defaults; milking/discovery output is identical for any value)")
+		workers  = fs.Int("workers", 0, "worker count for the parallel stages (0 = per-stage defaults; output is identical for any value)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this file")
 		noIncr   = fs.Bool("no-incremental", false, "cluster with the legacy from-scratch batch DBSCAN instead of the incremental campaign store (output is byte-identical; A/B knob)")

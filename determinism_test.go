@@ -9,13 +9,9 @@ import (
 	"repro/internal/core"
 )
 
-// reportBytes runs the full pipeline with the given worker count on the
-// milking and discovery stages and returns the serialized report. The
-// crawl farm is pinned to one worker: crawling advances the shared
-// virtual clock per fetch, so its session ordering is inherently
-// worker-count dependent — the determinism guarantee under test covers
-// the stages the batch-tick engine and the neighbourhood index
-// parallelize.
+// reportBytes runs the full pipeline with the given worker count on
+// every parallel stage — crawl farm, milking engine, discovery
+// neighbourhood index — and returns the serialized report.
 func reportBytes(t *testing.T, workers int) []byte {
 	t.Helper()
 	return reportBytesCfg(t, workers, false, false)
@@ -35,9 +31,7 @@ func reportBytesMode(t *testing.T, workers int, disableScriptCache, disableNoise
 	t.Helper()
 	cfg := seacma.QuickExperimentConfig()
 	cfg.DisableStreaming = disableStreaming
-	cfg.Crawler.Workers = 1
-	cfg.Milker.Workers = workers
-	cfg.Discovery.Workers = workers
+	cfg.SetWorkers(workers)
 	// Shrink the tracking horizon: determinism does not get stronger
 	// with more virtual days, only slower.
 	cfg.Milker.Duration = 6 * time.Hour
@@ -74,9 +68,7 @@ func reportBytesMode(t *testing.T, workers int, disableScriptCache, disableNoise
 func reportBytesLockstep(t *testing.T, workers int) []byte {
 	t.Helper()
 	cfg := seacma.QuickExperimentConfig()
-	cfg.Crawler.Workers = 1
-	cfg.Milker.Workers = workers
-	cfg.Discovery.Workers = workers
+	cfg.SetWorkers(workers)
 	cfg.Milker.Duration = 6 * time.Hour
 	cfg.Milker.GSBExtra = 6 * time.Hour
 	cfg.Milker.FinalLookupAfter = 24 * time.Hour
@@ -119,8 +111,8 @@ func assertSameReport(t *testing.T, labelA, labelB string, a, b []byte) {
 
 // TestReportDeterministicAcrossWorkerCounts is the parallelism
 // contract: the same seed must produce a byte-identical report whether
-// same-tick milking sessions and clustering neighbourhoods are computed
-// by one worker or eight.
+// crawl sessions, same-tick milking sessions and clustering
+// neighbourhoods are computed by one worker or eight.
 func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
@@ -250,9 +242,7 @@ func TestReportDeterministicIncrementalVsBatch(t *testing.T) {
 	}
 	bytesFor := func(workers int, disableIncremental bool) []byte {
 		cfg := seacma.QuickExperimentConfig()
-		cfg.Crawler.Workers = 1
-		cfg.Milker.Workers = workers
-		cfg.Discovery.Workers = workers
+		cfg.SetWorkers(workers)
 		cfg.Milker.Duration = 6 * time.Hour
 		cfg.Milker.GSBExtra = 6 * time.Hour
 		cfg.Milker.FinalLookupAfter = 24 * time.Hour

@@ -238,7 +238,7 @@ func (n *Network) serveScript(req *webtx.Request) *webtx.Response {
 			zone = v
 		}
 	}
-	clickDomain := rng.Pick(n.src, n.ClickDomains)
+	clickDomain := rng.Pick(n.drawFor("script", req), n.ClickDomains)
 	clickBase := fmt.Sprintf("http://%s%s?z=%s", clickDomain, n.clickPath(), zone)
 	enc := adscript.EncodeString(clickBase, n.obfKey)
 	var b strings.Builder
@@ -264,7 +264,7 @@ func (n *Network) serveClick(req *webtx.Request) *webtx.Response {
 	if !strings.HasPrefix(req.URL.Path, "/"+n.Spec.PathToken+"-c/") {
 		return webtx.NotFound()
 	}
-	fill := n.ChooseFill(req.UserAgent, req.ClientIP)
+	fill := n.chooseFill(n.drawFor("fill", req), req.UserAgent, req.ClientIP)
 	n.mu.Lock()
 	n.clicks++
 	if fill.SE {
@@ -274,13 +274,34 @@ func (n *Network) serveClick(req *webtx.Request) *webtx.Response {
 	return webtx.RedirectTo(fill.URL)
 }
 
-// ChooseFill picks the ad destination for one click. Exposed for direct
-// use in unit tests and ablations.
+// drawFor returns the random stream for one served request, keyed
+// (rng.Source.Keyed) to the request itself — URL, referrer, UA, client
+// IP and virtual instant — rather than pulled from the network's shared
+// sequential stream. Concurrent crawl sessions must not perturb each
+// other's fills, or the crawl would depend on the worker count; a
+// request's draws depend only on what the browser sent. A request
+// without a virtual instant (a bare RoundTrip outside any browser
+// session) draws from the sequential stream.
+func (n *Network) drawFor(kind string, req *webtx.Request) *rng.Source {
+	if req.Time.IsZero() {
+		return n.src
+	}
+	return n.src.Keyed(fmt.Sprintf("%s/%s/%s/%s/%d/%d", kind, req.URL.String(), req.Referrer,
+		req.UserAgent.Name, req.ClientIP, req.Time.UnixNano()))
+}
+
+// ChooseFill picks the ad destination for one click from the network's
+// sequential stream. Exposed for direct use in unit tests and
+// ablations; served clicks draw from their request-keyed stream.
 func (n *Network) ChooseFill(ua webtx.UserAgent, ip webtx.IPClass) Fill {
+	return n.chooseFill(n.src, ua, ip)
+}
+
+func (n *Network) chooseFill(src *rng.Source, ua webtx.UserAgent, ip webtx.IPClass) Fill {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	cloaked := n.Spec.ResidentialOnly && ip != webtx.IPResidential
-	if !cloaked && n.src.Bool(n.Spec.SERate) {
+	if !cloaked && src.Bool(n.Spec.SERate) {
 		// Pick an SE campaign compatible with the visitor's platform.
 		var pool []*secamp.Campaign
 		for _, c := range n.campaigns {
@@ -289,18 +310,18 @@ func (n *Network) ChooseFill(ua webtx.UserAgent, ip webtx.IPClass) Fill {
 			}
 		}
 		if len(pool) > 0 {
-			c := rng.Pick(n.src, pool)
+			c := rng.Pick(src, pool)
 			return Fill{URL: c.EntryURL(), SE: true, CampaignID: c.ID}
 		}
 	}
 	// Benign fill: mostly advertisers, occasionally a benign multi-domain
 	// family page (parked domains, shortener interstitials, ...).
-	if len(n.families) > 0 && n.src.Bool(0.12) {
-		f := rng.Pick(n.src, n.families)
-		return Fill{URL: f.URLFor(n.src.Intn(len(f.Domains)))}
+	if len(n.families) > 0 && src.Bool(0.12) {
+		f := rng.Pick(src, n.families)
+		return Fill{URL: f.URLFor(src.Intn(len(f.Domains)))}
 	}
 	if len(n.benign) > 0 {
-		a := rng.Pick(n.src, n.benign)
+		a := rng.Pick(src, n.benign)
 		return Fill{URL: a.URL()}
 	}
 	return Fill{URL: "http://fallback-ad.com/"}

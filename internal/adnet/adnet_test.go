@@ -2,6 +2,7 @@ package adnet
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -326,5 +327,56 @@ func TestAllDomains(t *testing.T) {
 	all := n.AllDomains()
 	if len(all) != len(n.ScriptDomains)+len(n.ClickDomains) {
 		t.Fatalf("AllDomains = %d", len(all))
+	}
+}
+
+// TestServedFillsKeyedToRequest: a click that carries a virtual instant
+// draws its fill from its own request, so the fill is the same whether
+// clicks are served serially or by concurrent sessions in any order,
+// and across distinct instants the SE rate still follows the spec.
+func TestServedFillsKeyedToRequest(t *testing.T) {
+	n, internet, camp := newNetWithFills(t, specByName(t, "PopCash"))
+	const clicks = 2000
+	click := func(i int) string {
+		resp, err := internet.RoundTrip(&webtx.Request{
+			URL:       urlx.MustParse("http://" + n.ClickDomains[0] + n.clickPath() + "?z=1"),
+			Referrer:  "http://pub.example/",
+			UserAgent: webtx.UAChromeMac, ClientIP: webtx.IPResidential,
+			Time: vclock.Epoch.Add(time.Duration(i) * 2 * time.Second),
+		})
+		if err != nil || !resp.Redirect() {
+			t.Errorf("click %d: %v %v", i, resp, err)
+			return ""
+		}
+		return resp.Location
+	}
+	serial := make([]string, clicks)
+	for i := range serial {
+		serial[i] = click(i)
+	}
+	concurrent := make([]string, clicks)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := clicks - 1 - w; i >= 0; i -= 8 {
+				concurrent[i] = click(i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	se := 0
+	for i := range serial {
+		if serial[i] != concurrent[i] {
+			t.Fatalf("click %d: serial fill %s, concurrent fill %s", i, serial[i], concurrent[i])
+		}
+		if strings.Contains(serial[i], urlx.MustParse(camp.EntryURL()).Host) {
+			se++
+		}
+	}
+	rate := float64(se) / clicks
+	if want := n.Spec.SERate; rate < want-0.05 || rate > want+0.05 {
+		t.Fatalf("SE rate = %.3f, want ~%.3f", rate, want)
 	}
 }

@@ -154,11 +154,12 @@ type Browser struct {
 	opts     Options
 	tabs     []*Tab
 	events   []Event
-	// pinned, when non-zero, is the session-visible time: every request
+	// pinned, when non-zero, is the session-local time: every request
 	// timestamp, log event, and capture seed reads it instead of the live
-	// clock. The pipelined milker pins each probe to its tick instant so
-	// overlapped execution observes exactly the time a lock-step run
-	// would (the clock may already have advanced past the tick).
+	// clock, and paced fetches advance it instead of the clock. The
+	// pipelined milker pins each probe to its tick instant so overlapped
+	// execution observes exactly the time a lock-step run would; the
+	// crawler pins each session to its slot on the crawl timeline.
 	pinned time.Time
 	// spare is one tab retained across ResetSession for reuse: its
 	// interpreter, listener map, and host environment survive, cutting
@@ -219,14 +220,19 @@ func (b *Browser) Tabs() []*Tab { return b.tabs }
 // Events returns the instrumentation log.
 func (b *Browser) Events() []Event { return b.events }
 
-// PinTime fixes the session-visible time at t: fetches, event
-// timestamps, and capture noise seeds all read t until the pin changes.
-// A zero t unpins, returning the session to the live virtual clock.
-// Pinning lets a scheduler run this session concurrently with clock
-// advancement while it behaves exactly as if it ran at t.
+// PinTime puts the session on its own timeline starting at t: fetches,
+// event timestamps, and capture noise seeds all read the pin, and each
+// fetch advances the pin by FetchCost instead of advancing the shared
+// clock. A zero t unpins, returning the session to the live virtual
+// clock. Pinning lets a scheduler run sessions concurrently with each
+// other and with clock advancement while each behaves exactly as if it
+// ran alone from t: the milker pins probes to their tick (FetchCost 0,
+// so the pin stays put); the crawler pins each session to its slot.
 func (b *Browser) PinTime(t time.Time) { b.pinned = t }
 
-// now is the session-visible time: the pin when set, else the clock.
+// Now is the session-visible time: the pin when set, else the clock.
+func (b *Browser) Now() time.Time { return b.now() }
+
 func (b *Browser) now() time.Time {
 	if !b.pinned.IsZero() {
 		return b.pinned
@@ -411,7 +417,11 @@ func (b *Browser) leaveCurrentPage(tab *Tab) bool {
 
 func (b *Browser) fetch(u urlx.URL, referrer string) (*webtx.Response, error) {
 	if b.opts.FetchCost > 0 {
-		b.clock.Advance(b.opts.FetchCost)
+		if b.pinned.IsZero() {
+			b.clock.Advance(b.opts.FetchCost)
+		} else {
+			b.pinned = b.pinned.Add(b.opts.FetchCost)
+		}
 	}
 	return b.internet.RoundTrip(&webtx.Request{
 		URL:       u,

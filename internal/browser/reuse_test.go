@@ -114,6 +114,40 @@ func TestPinTime(t *testing.T) {
 	}
 }
 
+// TestPinnedSessionPacesItsOwnTimeline: with a fetch cost, a pinned
+// session advances its own pin per fetch and leaves the shared clock
+// alone, so concurrent sessions never interleave virtual time.
+func TestPinnedSessionPacesItsOwnTimeline(t *testing.T) {
+	internet := webtx.NewInternet()
+	clock := vclock.New()
+	var times []time.Time
+	internet.Register("pace.test", webtx.HandlerFunc(func(req *webtx.Request) *webtx.Response {
+		times = append(times, req.Time)
+		return webtx.HTMLPage("<html></html>")
+	}))
+	opts := defaultOpts()
+	opts.FetchCost = 2 * time.Second
+	b := New(internet, clock, opts)
+	pin := vclock.Epoch.Add(time.Hour)
+	b.PinTime(pin)
+	for i := 0; i < 3; i++ {
+		if _, err := b.Visit("http://pace.test/"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, got := range times {
+		if want := pin.Add(time.Duration(i+1) * opts.FetchCost); !got.Equal(want) {
+			t.Fatalf("fetch %d at %v, want %v", i, got, want)
+		}
+	}
+	if !b.Now().Equal(pin.Add(3 * opts.FetchCost)) {
+		t.Fatalf("session time %v after 3 fetches", b.Now())
+	}
+	if !clock.Now().Equal(vclock.Epoch) {
+		t.Fatalf("shared clock moved to %v", clock.Now())
+	}
+}
+
 // TestHostEnvRestoredAcrossLoads: a page script that clobbers a host
 // object field must not poison the next page load in the same tab — the
 // cached env restores its pristine fields per install. Page A clobbers

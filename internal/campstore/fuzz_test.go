@@ -74,7 +74,6 @@ var worldgenCorpus = sync.OnceValue(func() [][]byte {
 	cfg := seacma.QuickExperimentConfig()
 	cfg.SkipMilking = true
 	cfg.MaxPublishers = 24
-	cfg.Crawler.Workers = 1
 	res, err := seacma.NewExperiment(cfg).Run()
 	if err != nil {
 		return nil

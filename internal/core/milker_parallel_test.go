@@ -11,9 +11,8 @@ import (
 )
 
 // milkWithWorkers runs crawl → discovery → milking on a fresh tiny
-// world with the milking engine at the given worker count. The crawl is
-// pinned to one worker so the milking sources are identical across
-// invocations; only the stage under test varies.
+// world with the milking engine at the given worker count. The crawl
+// runs one worker; only the stage under test varies.
 func milkWithWorkers(t *testing.T, workers int) *core.MilkingResult {
 	t.Helper()
 	w := worldgen.Build(worldgen.TinyConfig())

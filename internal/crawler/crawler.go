@@ -9,6 +9,7 @@ package crawler
 
 import (
 	"context"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,7 +32,9 @@ import (
 type Config struct {
 	// UserAgents to rotate per publisher (default: the paper's four).
 	UserAgents []webtx.UserAgent
-	// Workers is the number of parallel crawler instances.
+	// Workers is the number of parallel crawler instances, capped at
+	// GOMAXPROCS. Sessions are byte-identical at any width: each runs on
+	// its own slot of the crawl timeline (see CrawlStream).
 	Workers int
 	// MaxClickTargets bounds how many candidate elements are clicked per
 	// session.
@@ -80,6 +83,11 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 8
+	}
+	// More workers than runnable threads only adds scheduling and GC
+	// churn; output does not depend on the width, so capping is free.
+	if max := runtime.GOMAXPROCS(0); c.Workers > max {
+		c.Workers = max
 	}
 	if c.MaxClickTargets <= 0 {
 		c.MaxClickTargets = 3
@@ -220,6 +228,13 @@ type SessionEvent struct {
 	Session *Session
 }
 
+// slotFetches sizes a session's slot on the crawl timeline: the mean
+// session makes about 22 fetches (~26,300 requests over 1,200 sessions
+// when the default world's crawl is capped at 300 publishers), so slots
+// of 22 × FetchCost keep the crawl window as long as a crawl whose
+// fetches all advance one shared clock.
+const slotFetches = 22
+
 // CrawlStream runs every (task, UA) session across the worker pool and
 // emits each session on the returned channel the moment its worker
 // finishes it — in completion order, not slot order; consumers that need
@@ -229,12 +244,22 @@ type SessionEvent struct {
 // the pool drains. Once ctx is done no new session starts, so a
 // cancelled stream emits exactly the contiguous prefix of slots that
 // were fed before cancellation.
+//
+// Every session runs on its own virtual timeline: slot i starts at
+// crawlStart + i × slot, where crawlStart is the clock at the call and
+// slot is slotFetches × FetchCost, and advances only its own time per
+// fetch. Together with the
+// synthetic web's request-keyed draws this makes each session a pure
+// function of its slot, so the sessions are byte-identical at any
+// worker count. The shared clock is moved to the end of the crawl
+// window (crawlStart + total × slot) before the channel closes.
 func (c *Crawler) CrawlStream(ctx context.Context, tasks []Task) (<-chan SessionEvent, int) {
 	type job struct {
 		idx  int
 		task Task
 		ua   webtx.UserAgent
 	}
+	start, slot := c.clock.Now(), slotFetches*c.cfg.FetchCost
 	total := len(tasks) * len(c.cfg.UserAgents)
 	jobs := make(chan job)
 	events := make(chan SessionEvent, total)
@@ -244,8 +269,12 @@ func (c *Crawler) CrawlStream(ctx context.Context, tasks []Task) (<-chan Session
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One browser per worker, re-armed per navigation, as the
+			// milker's client pool does.
+			client := devtools.NewClient(c.internet, c.clock, devtools.ClientConfig{})
 			for j := range jobs {
-				events <- SessionEvent{Index: j.idx, Session: c.RunSession(j.task, j.ua)}
+				s, _ := c.runSession(client, j.task, j.ua, start.Add(time.Duration(j.idx)*slot))
+				events <- SessionEvent{Index: j.idx, Session: s}
 				sessions.Inc()
 			}
 		}()
@@ -264,33 +293,49 @@ func (c *Crawler) CrawlStream(ctx context.Context, tasks []Task) (<-chan Session
 		}
 		close(jobs)
 		wg.Wait()
+		c.clock.AdvanceTo(start.Add(time.Duration(total) * slot))
 		close(events)
 	}()
 	return events, total
 }
 
-// RunSession crawls one publisher with one UA.
+// RunSession crawls one publisher with one UA, starting at the clock's
+// current instant, and advances the clock past the session's fetches.
 func (c *Crawler) RunSession(task Task, ua webtx.UserAgent) *Session {
+	client := devtools.NewClient(c.internet, c.clock, devtools.ClientConfig{})
+	s, end := c.runSession(client, task, ua, c.clock.Now())
+	c.clock.AdvanceTo(end)
+	return s
+}
+
+// runSession crawls one publisher with one UA on a session-local
+// timeline starting at start, re-arming client for every navigation.
+// It returns the session and the session-local time it ended at.
+func (c *Crawler) runSession(client *devtools.Client, task Task, ua webtx.UserAgent, start time.Time) (*Session, time.Time) {
 	s := &Session{Publisher: task.Host, UserAgent: ua, ClientIP: task.ClientIP}
 	defer func() { c.met.landings.Observe(int64(len(s.Landings))) }()
+	cfg := c.clientConfig(task, ua)
+	now := start
 	adsTriggered := 0
 	targetIdx := 0
 
 	for adsTriggered < c.cfg.MaxAdsPerSession {
-		client := c.newClient(task, ua)
+		// A restart is a fresh browser that carries the session's time.
+		client.Reset(cfg)
+		client.PinTime(now)
 		tab, err := client.Navigate("http://" + task.Host + "/")
 		if err != nil || tab.Status != webtx.StatusOK || tab.Doc == nil {
 			// The publisher refused us: NXDOMAIN, error page, or an
 			// IP-cloaking denial (the paper's residential-only networks).
 			c.met.denied.Inc()
 			s.Events = append(s.Events, client.Events()...)
-			return s
+			return s, client.Now()
 		}
 		s.PublisherOK = true
 		clickables := tab.Doc.Clickables()
 		if targetIdx >= len(clickables) || targetIdx >= c.cfg.MaxClickTargets {
 			s.Events = append(s.Events, client.Events()...)
-			return s
+			return s, client.Now()
 		}
 		el := clickables[targetIdx]
 		navigatedAway := false
@@ -322,16 +367,18 @@ func (c *Crawler) RunSession(task Task, ua webtx.UserAgent) *Session {
 			}
 		}
 		s.Events = append(s.Events, client.Events()...)
+		now = client.Now()
 		targetIdx++
 		if !navigatedAway && targetIdx >= min(len(clickables), c.cfg.MaxClickTargets) {
-			return s
+			return s, now
 		}
 	}
-	return s
+	return s, now
 }
 
-func (c *Crawler) newClient(task Task, ua webtx.UserAgent) *devtools.Client {
-	return devtools.NewClient(c.internet, c.clock, devtools.ClientConfig{
+// clientConfig is the automation profile of one (task, UA) session.
+func (c *Crawler) clientConfig(task Task, ua webtx.UserAgent) devtools.ClientConfig {
+	return devtools.ClientConfig{
 		UserAgent:       ua,
 		ClientIP:        task.ClientIP,
 		StealthPatch:    !c.cfg.DisableStealth,
@@ -342,7 +389,7 @@ func (c *Crawler) newClient(task Task, ua webtx.UserAgent) *devtools.Client {
 		ViewportScale:   c.cfg.ViewportScale,
 		Capture:         c.cfg.Capture,
 		Scripts:         c.cfg.Scripts,
-	})
+	}
 }
 
 // recordLanding captures a landing page: screenshot hash, downloads from

@@ -88,10 +88,14 @@ func (c *Client) Reset(cfg ClientConfig) {
 	c.b.Reset(optsFor(cfg))
 }
 
-// PinTime fixes the session-visible time (zero unpins); see
-// browser.Browser.PinTime. Schedulers that overlap sessions with clock
-// advancement pin each session to its nominal instant.
+// PinTime puts the session on its own timeline from t (zero unpins);
+// see browser.Browser.PinTime. Schedulers that overlap sessions pin
+// each session to its nominal instant.
 func (c *Client) PinTime(t time.Time) { c.b.PinTime(t) }
+
+// Now is the session-visible time: the pin (advanced by paced fetches)
+// when set, else the live clock.
+func (c *Client) Now() time.Time { return c.b.Now() }
 
 // Navigate loads a URL in a new tab ("Page.navigate").
 func (c *Client) Navigate(url string) (*browser.Tab, error) {

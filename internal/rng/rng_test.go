@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -221,5 +224,66 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 	if sum != 15 {
 		t.Fatalf("elements changed: %v", vals)
+	}
+}
+
+// TestChildSeedIsFNV1a pins Split's derivation: FNV-1a over the parent
+// seed's little-endian bytes, then the name.
+func TestChildSeedIsFNV1a(t *testing.T) {
+	for _, parent := range []int64{0, 1, -7, 1 << 62} {
+		for _, name := range []string{"", "adnet/PopCash", "slot/3/chrome/1/1551398400"} {
+			h := fnv.New64a()
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], uint64(parent))
+			h.Write(buf[:])
+			h.Write([]byte(name))
+			if got, want := childSeed(parent, name), int64(h.Sum64()); got != want {
+				t.Fatalf("childSeed(%d, %q) = %d, want %d", parent, name, got, want)
+			}
+		}
+	}
+}
+
+// TestKeyedDeterministicAndIndependent: a keyed stream is a function of
+// (parent seed, name) only — rederiving it replays the same draws no
+// matter what was drawn in between — and distinct names diverge.
+func TestKeyedDeterministicAndIndependent(t *testing.T) {
+	root := New(11)
+	a := root.Keyed("fill/http://x/?n=0")
+	root.Intn(100)
+	root.Keyed("other").Int63()
+	b := root.Keyed("fill/http://x/?n=0")
+	c := root.Keyed("fill/http://x/?n=1")
+	differ := 0
+	for i := 0; i < 64; i++ {
+		av, bv, cv := a.Int63(), b.Int63(), c.Int63()
+		if av != bv {
+			t.Fatalf("draw %d: rederived keyed stream diverged", i)
+		}
+		if av != cv {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("distinct keys produced identical streams")
+	}
+	if p := New(11).Keyed("k").Float64(); p < 0 || p >= 1 {
+		t.Fatalf("Float64 = %v", p)
+	}
+}
+
+// TestKeyedBoolRate: the SplitMix64 backing is unbiased enough for the
+// simulator's coin flips.
+func TestKeyedBoolRate(t *testing.T) {
+	root := New(3)
+	hits := 0
+	const n = 20000
+	for i := 0; i < n; i++ {
+		if root.Keyed(strconv.Itoa(i)).Bool(0.3) {
+			hits++
+		}
+	}
+	if rate := float64(hits) / n; rate < 0.28 || rate > 0.32 {
+		t.Fatalf("keyed Bool(0.3) rate = %.3f", rate)
 	}
 }

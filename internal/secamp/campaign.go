@@ -74,10 +74,10 @@ type Campaign struct {
 	start    time.Time
 
 	mu       sync.Mutex
-	minted   map[string]mintInfo // attack host -> info
+	minted   map[string]mintInfo   // attack host -> info
 	pages    map[string]attackPage // attack host -> cached landing page
-	fileSeq  int
-	sessions int // TDS hits, for load stats
+	fileSeq  int                   // downloads served, for load stats
+	sessions int                   // TDS hits, for load stats
 }
 
 type mintInfo struct {
@@ -208,6 +208,9 @@ func (c *Campaign) serveTDS(req *webtx.Request) *webtx.Response {
 }
 
 // mint ensures the attack domain for (idx, slot) exists and returns it.
+// The host's handler is registered before the host becomes visible in
+// minted, both under c.mu: a concurrent request that finds the host
+// minted — and redirects a browser there — always finds it served.
 func (c *Campaign) mint(idx, slot int, now time.Time) string {
 	host := c.attackHost(idx, slot)
 	c.mu.Lock()
@@ -218,11 +221,11 @@ func (c *Campaign) mint(idx, slot int, now time.Time) string {
 			born = now
 		}
 		info = mintInfo{idx: idx, slot: slot, born: born}
+		c.internet.Register(host, webtx.HandlerFunc(c.serveAttack))
 		c.minted[host] = info
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.internet.Register(host, webtx.HandlerFunc(c.serveAttack))
 		if c.recorder != nil {
 			// The domain's life begins at its rotation epoch, not at the
 			// first request that happens to reach it: blacklists race
@@ -255,8 +258,9 @@ func (c *Campaign) serveAttack(req *webtx.Request) *webtx.Response {
 		return webtx.Gone()
 	}
 	if len(req.URL.Path) >= 4 && req.URL.Path[:4] == "/dl/" {
+		c.fileSeq++
 		c.mu.Unlock()
-		return c.serveDownload()
+		return c.serveDownload(req, now)
 	}
 	if page, hit := c.pages[host]; hit && page.path == req.URL.Path {
 		c.mu.Unlock()
@@ -280,12 +284,13 @@ func (c *Campaign) serveAttack(req *webtx.Request) *webtx.Response {
 
 // serveDownload mints a fresh polymorphic binary (Section 4.5: the
 // binaries are highly polymorphic; almost every download has a new hash).
-func (c *Campaign) serveDownload() *webtx.Response {
-	c.mu.Lock()
-	c.fileSeq++
-	seq := c.fileSeq
-	c.mu.Unlock()
-	h := c.src.Split(fmt.Sprintf("file/%d", seq))
+// The binary is keyed to the request — URL, referrer, UA, client IP and
+// virtual instant — not to a serving counter, so concurrent sessions
+// never shift each other's hashes; distinct downloads differ at least in
+// their instant.
+func (c *Campaign) serveDownload(req *webtx.Request, now time.Time) *webtx.Response {
+	h := c.src.Keyed(fmt.Sprintf("file/%s/%s/%s/%d/%d", req.URL.String(), req.Referrer,
+		req.UserAgent.Name, req.ClientIP, now.UnixNano()))
 	format := "pe"
 	if c.Category == FakeSoftware && h.Bool(0.35) {
 		format = "dmg"

@@ -1,7 +1,9 @@
 package secamp
 
 import (
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,9 +22,14 @@ type recordedDomain struct {
 	born     time.Time
 }
 
-type testRecorder struct{ domains []recordedDomain }
+type testRecorder struct {
+	mu      sync.Mutex
+	domains []recordedDomain
+}
 
 func (r *testRecorder) RecordAttackDomain(id string, cat Category, host string, born time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.domains = append(r.domains, recordedDomain{id, cat, host, born})
 }
 
@@ -172,13 +179,18 @@ func TestUATargeting(t *testing.T) {
 	}
 }
 
+// TestDownloadsArePolymorphic: every download request mints a new
+// binary, and the binary is a pure function of the request — ten
+// downloads at ten paced instants get ten hashes, and replaying one
+// request gets its hash again.
 func TestDownloadsArePolymorphic(t *testing.T) {
 	c, internet, clock, _ := newTestCampaign(t, FakeSoftware)
 	resp := get(t, internet, c.EntryURL(), webtx.UAChromeMac, clock.Now())
 	host := urlx.MustParse(resp.Location).Host
 	seen := map[string]bool{}
 	for i := 0; i < 10; i++ {
-		dl := get(t, internet, "http://"+host+"/dl/x.bin", webtx.UAChromeMac, clock.Now())
+		at := clock.Now().Add(time.Duration(i) * time.Second)
+		dl := get(t, internet, "http://"+host+"/dl/x.bin", webtx.UAChromeMac, at)
 		if dl.Download == nil {
 			t.Fatalf("no download payload: %+v", dl)
 		}
@@ -189,6 +201,10 @@ func TestDownloadsArePolymorphic(t *testing.T) {
 			t.Fatal("duplicate hash — binaries must be polymorphic")
 		}
 		seen[dl.Download.SHA256] = true
+		replay := get(t, internet, "http://"+host+"/dl/x.bin", webtx.UAChromeMac, at)
+		if replay.Download == nil || replay.Download.SHA256 != dl.Download.SHA256 {
+			t.Fatal("replayed download request served a different binary")
+		}
 	}
 }
 
@@ -364,5 +380,52 @@ func TestOffTargetTDSDoesNotMint(t *testing.T) {
 	sessions, minted, _ := c.Stats()
 	if sessions != 0 || minted != 0 {
 		t.Fatalf("stats = %d sessions %d minted", sessions, minted)
+	}
+}
+
+// TestConcurrentTDSRedirectsAlwaysServe: many sessions hit one TDS in
+// the same rotation epoch at once, so several race to mint each attack
+// domain. Whichever request wins, every redirect target must already be
+// registered and serve its landing page — a minted host is never
+// visible before its handler exists.
+func TestConcurrentTDSRedirectsAlwaysServe(t *testing.T) {
+	c, internet, clock, _ := newTestCampaign(t, FakeSoftware)
+	const sessions = 16
+	for epoch := 0; epoch < 20; epoch++ {
+		base := clock.Now().Add(time.Duration(epoch) * c.Cfg.RotationPeriod)
+		start := make(chan struct{})
+		errs := make(chan string, sessions)
+		var wg sync.WaitGroup
+		for k := 0; k < sessions; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				at := base.Add(time.Duration(k%4) * time.Second)
+				<-start
+				resp, err := internet.RoundTrip(&webtx.Request{
+					URL: urlx.MustParse(c.EntryURL()), UserAgent: webtx.UAChromeMac, ClientIP: webtx.IPResidential, Time: at,
+				})
+				if err != nil || !resp.Redirect() {
+					errs <- "TDS did not redirect"
+					return
+				}
+				land, err := internet.RoundTrip(&webtx.Request{
+					URL: urlx.MustParse(resp.Location), UserAgent: webtx.UAChromeMac, ClientIP: webtx.IPResidential, Time: at,
+				})
+				if err != nil {
+					errs <- resp.Location + ": " + err.Error()
+					return
+				}
+				if land.Status != webtx.StatusOK {
+					errs <- resp.Location + ": status " + strconv.Itoa(land.Status)
+				}
+			}(k)
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatalf("epoch %d: %s", epoch, e)
+		}
 	}
 }

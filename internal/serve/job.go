@@ -17,9 +17,9 @@ type JobSpec struct {
 	// Tiny selects the smoke-scale world (seconds per job) instead of
 	// the 1/8-scale default.
 	Tiny bool `json:"tiny,omitempty"`
-	// Workers parallelizes the milking and discovery stages (their
-	// output is byte-identical for any value; 0 = per-stage defaults).
-	// The crawl farm always runs one worker — see SpecExperimentConfig.
+	// Workers parallelizes the crawl, milking and discovery stages
+	// (their output is byte-identical for any value; 0 = per-stage
+	// defaults).
 	Workers int `json:"workers,omitempty"`
 	// Days overrides the milking horizon in virtual days (0 = config
 	// default: 14 full-scale, 2 tiny).

@@ -63,7 +63,7 @@ func TestLiveCampaignsMatchOneShot(t *testing.T) {
 		t.Fatalf("submit = %d %s", code, body)
 	}
 	v := decodeView(t, body)
-	waitState(t, srv.Store(), v.ID, StateDone)
+	waitStateWithin(t, srv.Store(), v.ID, StateDone, time.Minute)
 
 	compare := func(stage string) {
 		t.Helper()

@@ -148,11 +148,8 @@ func LiveCampaignSummaries(world string, st *campstore.Store) []CampaignSummary 
 // SpecExperimentConfig maps a job spec onto the experiment
 // configuration, mirroring the seacma-report CLI flag mapping so a
 // job's report is byte-identical to `seacma-report -seed N [-tiny]
-// -workers 1 -json`. The crawl farm is pinned to one worker — crawl
-// session order is the only scheduling-dependent stage, so pinning it
-// makes a job's identity (spec → report bytes) hold at every Workers
-// value; milking and discovery parallelize freely under their
-// byte-identical-output contract.
+// -json` at any -workers value. Workers sets the width of every
+// parallel stage; each stage's output is independent of it.
 func SpecExperimentConfig(spec JobSpec) seacma.ExperimentConfig {
 	cfg := seacma.DefaultExperimentConfig()
 	if spec.Tiny {
@@ -171,10 +168,8 @@ func SpecExperimentConfig(spec JobSpec) seacma.ExperimentConfig {
 	}
 	cfg.SkipMilking = spec.SkipMilking
 	cfg.MaxPublishers = spec.MaxPublishers
-	cfg.Crawler.Workers = 1
 	if spec.Workers > 0 {
-		cfg.Milker.Workers = spec.Workers
-		cfg.Discovery.Workers = spec.Workers
+		cfg.SetWorkers(spec.Workers)
 	}
 	return cfg
 }

@@ -22,8 +22,7 @@
 //
 // Determinism is preserved end to end: a job's report JSON is
 // byte-identical to the one-shot seacma-report run on the same seed and
-// configuration, for any worker count, because the job runner pins the
-// crawl farm to one worker and only parallelizes the stages whose
+// configuration, for any worker count, because every parallel stage's
 // output is proven byte-identical across counts.
 package serve
 

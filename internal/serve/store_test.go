@@ -63,7 +63,16 @@ func (b *blockingRunner) run(ctx context.Context, spec JobSpec, onEvent func(Job
 // waitState polls until the job reaches want or the deadline passes.
 func waitState(t *testing.T, s *Store, id string, want JobState) JobView {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	return waitStateWithin(t, s, id, want, 10*time.Second)
+}
+
+// waitStateWithin is waitState with an explicit hang deadline, for jobs
+// that run the real pipeline: under the race detector, with other test
+// packages sharing the host's cores, a tiny-world job can take longer
+// than the fake runners' 10 s.
+func waitStateWithin(t *testing.T, s *Store, id string, want JobState, within time.Duration) JobView {
+	t.Helper()
+	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		v, err := s.Get(id)
 		if err != nil {

@@ -223,7 +223,10 @@ func Build(cfg Config) *World {
 		Search:   websearch.NewEngine(),
 		src:      src,
 	}
-	w.Internet.SetLogging(true)
+	// Nothing reads a world's request log, and it would hold every
+	// request of the run (and serialize parallel crawl workers on its
+	// lock); components keep their own accounting.
+	w.Internet.SetLogging(false)
 	w.Webcat = webcat.NewService(src)
 	w.GSB = gsb.NewBlacklist(cfg.GSBProfiles, src)
 	w.VT = vtsim.NewService(vtsim.Profile{}, src)

@@ -135,10 +135,8 @@ func QuickExperimentConfig() ExperimentConfig {
 
 // SetWorkers sets the worker count of every parallel stage — crawl farm,
 // milking engine, discovery neighbourhood precompute — in one call (the
-// cmd tools' -workers flag lands here). Milking and discovery results
-// are byte-identical for any value; the crawl stage's session ordering
-// is worker-count dependent, so runs that must be reproducible across
-// machines pin crawl workers to 1.
+// cmd tools' -workers flag lands here). Reports are byte-identical for
+// any value.
 func (c *ExperimentConfig) SetWorkers(n int) {
 	if n < 1 {
 		n = 1

@@ -16,12 +16,10 @@ import (
 )
 
 // quickStreamConfig is the shared fixture of the streaming-coordinator
-// tests: tiny world, crawl pinned to one worker (the reproducibility
-// convention), milking skipped — the stream itself is what is under
-// test.
+// tests: tiny world, milking skipped — the stream itself is what is
+// under test.
 func quickStreamConfig() seacma.ExperimentConfig {
 	cfg := seacma.QuickExperimentConfig()
-	cfg.Crawler.Workers = 1
 	cfg.SkipMilking = true
 	return cfg
 }
