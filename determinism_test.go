@@ -2,6 +2,9 @@ package seacma_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,12 +12,63 @@ import (
 	"repro/internal/core"
 )
 
-// reportBytes runs the full pipeline with the given worker count on
-// every parallel stage — crawl farm, milking engine, discovery
-// neighbourhood index — and returns the serialized report.
-func reportBytes(t *testing.T, workers int) []byte {
+// goldenReportDigests pins the SHA-256 of reportBytes (tiny world,
+// milking on) per seed. It is the behavioural contract of the whole
+// pipeline: every worker count, and every cache left in or out, must
+// reproduce these bytes. A deliberate change to the report bytes
+// re-pins these values.
+var goldenReportDigests = map[int64]string{
+	1: "bf6c8e777e37b7a3abb36674c94d1f3c17131aff6bb29a71391f061ec8525bd5",
+	2: "c988a6892e866c13e106ae3198311e9806ba363369a39cc425ceeaa34ff52fc1",
+	3: "38bc9c5f9ee399dbd96523d6bc46dc8993112e6cb00267530af8ecdf3fbd5933",
+}
+
+// reportBytes runs the full pipeline for seed with the given worker
+// count on every parallel stage — crawl farm, milking engine, discovery
+// neighbourhood index — and returns the serialized report. tweak, when
+// non-nil, adjusts the experiment between construction and the run.
+func reportBytes(t *testing.T, seed int64, workers int, tweak func(*seacma.Experiment)) []byte {
 	t.Helper()
-	return reportBytesCfg(t, workers, false, false)
+	cfg := seacma.QuickExperimentConfig()
+	cfg.World.Seed = seed
+	cfg.SetWorkers(workers)
+	// Shrink the tracking horizon: determinism does not get stronger
+	// with more virtual days, only slower.
+	cfg.Milker.Duration = 6 * time.Hour
+	cfg.Milker.GSBExtra = 6 * time.Hour
+	cfg.Milker.FinalLookupAfter = 24 * time.Hour
+	cfg.Milker.MaxSources = 40
+
+	exp := seacma.NewExperiment(cfg)
+	if tweak != nil {
+		tweak(exp)
+	}
+	res, err := exp.Run()
+	if err != nil {
+		t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+	}
+	return serializeReport(t, exp, res)
+}
+
+// serializeReport builds and serializes the report of a finished run.
+func serializeReport(t *testing.T, exp *seacma.Experiment, res *seacma.Result) []byte {
+	t.Helper()
+	patterns := core.PatternSetFromSeeds(exp.Pipeline.Cfg.Seeds)
+	rep := core.BuildReport(res.RunResult, patterns, exp.World.GSB, exp.World.Webcat, exp.World.Clock.Now())
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatalf("serialize: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// assertGolden fails unless report hashes to the pinned digest of seed.
+func assertGolden(t *testing.T, label string, seed int64, report []byte) {
+	t.Helper()
+	sum := sha256.Sum256(report)
+	if got, want := hex.EncodeToString(sum[:]), goldenReportDigests[seed]; got != want {
+		t.Errorf("%s: report digest %s, pinned %s", label, got, want)
+	}
 }
 
 // reportBytesCfg additionally allows forcing the parse-per-run script
@@ -29,36 +83,17 @@ func reportBytesCfg(t *testing.T, workers int, disableScriptCache, disableNoiseP
 // coordinator (the default) or the legacy phased path.
 func reportBytesMode(t *testing.T, workers int, disableScriptCache, disableNoisePlanes, disableStreaming bool) []byte {
 	t.Helper()
-	cfg := seacma.QuickExperimentConfig()
-	cfg.DisableStreaming = disableStreaming
-	cfg.SetWorkers(workers)
-	// Shrink the tracking horizon: determinism does not get stronger
-	// with more virtual days, only slower.
-	cfg.Milker.Duration = 6 * time.Hour
-	cfg.Milker.GSBExtra = 6 * time.Hour
-	cfg.Milker.FinalLookupAfter = 24 * time.Hour
-	cfg.Milker.MaxSources = 40
-
-	exp := seacma.NewExperiment(cfg)
-	if disableScriptCache {
-		exp.Pipeline.Cfg.Scripts = nil
-		exp.Pipeline.Cfg.DisableScriptCache = true
-	}
-	if disableNoisePlanes {
-		exp.Pipeline.Cfg.DisableNoisePlanes = true
-		exp.Pipeline.Cfg.Capture.DisableNoisePlanes()
-	}
-	res, err := exp.Run()
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	patterns := core.PatternSetFromSeeds(exp.Pipeline.Cfg.Seeds)
-	rep := core.BuildReport(res.RunResult, patterns, exp.World.GSB, exp.World.Webcat, exp.World.Clock.Now())
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatalf("workers=%d: serialize: %v", workers, err)
-	}
-	return buf.Bytes()
+	return reportBytes(t, 1, workers, func(exp *seacma.Experiment) {
+		exp.Cfg.DisableStreaming = disableStreaming
+		if disableScriptCache {
+			exp.Pipeline.Cfg.Scripts = nil
+			exp.Pipeline.Cfg.DisableScriptCache = true
+		}
+		if disableNoisePlanes {
+			exp.Pipeline.Cfg.DisableNoisePlanes = true
+			exp.Pipeline.Cfg.Capture.DisableNoisePlanes()
+		}
+	})
 }
 
 // reportBytesLockstep forces the milking scheduler back into strict
@@ -67,26 +102,9 @@ func reportBytesMode(t *testing.T, workers int, disableScriptCache, disableNoise
 // the pipelined scheduler's equivalence contract.
 func reportBytesLockstep(t *testing.T, workers int) []byte {
 	t.Helper()
-	cfg := seacma.QuickExperimentConfig()
-	cfg.SetWorkers(workers)
-	cfg.Milker.Duration = 6 * time.Hour
-	cfg.Milker.GSBExtra = 6 * time.Hour
-	cfg.Milker.FinalLookupAfter = 24 * time.Hour
-	cfg.Milker.MaxSources = 40
-	cfg.Milker.DisablePipeline = true
-
-	exp := seacma.NewExperiment(cfg)
-	res, err := exp.Run()
-	if err != nil {
-		t.Fatalf("lockstep workers=%d: %v", workers, err)
-	}
-	patterns := core.PatternSetFromSeeds(exp.Pipeline.Cfg.Seeds)
-	rep := core.BuildReport(res.RunResult, patterns, exp.World.GSB, exp.World.Webcat, exp.World.Clock.Now())
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatalf("lockstep workers=%d: serialize: %v", workers, err)
-	}
-	return buf.Bytes()
+	return reportBytes(t, 1, workers, func(exp *seacma.Experiment) {
+		exp.Pipeline.Cfg.Milker.DisablePipeline = true
+	})
 }
 
 // assertSameReport fails with the first divergent byte and its context
@@ -110,31 +128,22 @@ func assertSameReport(t *testing.T, labelA, labelB string, a, b []byte) {
 }
 
 // TestReportDeterministicAcrossWorkerCounts is the parallelism
-// contract: the same seed must produce a byte-identical report whether
-// crawl sessions, same-tick milking sessions and clustering
-// neighbourhoods are computed by one worker or eight.
+// contract: the same seed must produce the pinned report whether crawl
+// sessions, same-tick milking sessions and clustering neighbourhoods
+// are computed by one worker or eight. A run without the shared
+// ad-script program cache (a nil ProgramCache parses per run) must
+// reproduce it too.
 func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
 	}
-	serial := reportBytes(t, 1)
-	parallel := reportBytes(t, 8)
-	if !bytes.Equal(serial, parallel) {
-		a, b := string(serial), string(parallel)
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, w := range []int{1, 8} {
+			assertGolden(t, fmt.Sprintf("seed %d workers %d", seed, w), seed, reportBytes(t, seed, w, nil))
 		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("report diverges at byte %d:\n  workers=1: ...%s\n  workers=8: ...%s",
-			i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
 	}
-	if len(serial) == 0 {
-		t.Fatal("empty report")
-	}
+	noScripts := reportBytes(t, 1, 4, func(exp *seacma.Experiment) { exp.Pipeline.Cfg.Scripts = nil })
+	assertGolden(t, "seed 1 workers 4 without a program cache", 1, noScripts)
 }
 
 // TestReportDeterministicAcrossOddWorkerCounts extends the contract to
@@ -145,12 +154,8 @@ func TestReportDeterministicAcrossOddWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
 	}
-	base := reportBytes(t, 1)
-	if len(base) == 0 {
-		t.Fatal("empty report")
-	}
 	for _, w := range []int{3, 5} {
-		assertSameReport(t, "workers=1", "workers="+string(rune('0'+w)), base, reportBytes(t, w))
+		assertGolden(t, fmt.Sprintf("workers %d", w), 1, reportBytes(t, 1, w, nil))
 	}
 }
 
@@ -163,7 +168,7 @@ func TestReportDeterministicPipelinedVsLockstep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
 	}
-	pipelined := reportBytes(t, 4)
+	pipelined := reportBytes(t, 1, 4, nil)
 	lockstep := reportBytesLockstep(t, 4)
 	assertSameReport(t, "pipelined", "lockstep", pipelined, lockstep)
 	if len(pipelined) == 0 {
