@@ -27,7 +27,7 @@ test:
 # decode memo, internal/browser per-tab interpreter reuse), the service
 # job engine (internal/serve store + worker pool + HTTP handlers), the
 # sharded blacklist (internal/gsb concurrent observe/lookup under the
-# pipelined poller), the incremental campaign store (internal/campstore
+# milker's poll fan-out), the incremental campaign store (internal/campstore
 # concurrent appenders/readers against one mutex-guarded store), the
 # synthetic web the parallel crawl hits (internal/secamp concurrent
 # attack-domain minting, internal/adnet request-keyed fills), plus the
@@ -73,7 +73,7 @@ bench-obs:
 # against the lock-free snapshots).
 # -benchtime 1x keeps a baseline run under a minute; these are
 # regression sentinels, not statistically tight measurements.
-BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkPipelineE2E_|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_
+BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_
 # The hashing/rng kernel sentinels run at a higher benchtime: they are
 # microseconds-to-milliseconds each, so 1x would mostly measure timer
 # noise. BenchmarkRngSplit_ lives in internal/rng, hence the extra dir.
@@ -102,11 +102,11 @@ bench-baseline:
 
 # Re-run the end-to-end pipeline bench and fail if it regressed more
 # than 20% against the recorded baseline, then check the milking
-# stage's parallel efficiency: on a multi-core host the pipelined
-# scheduler must make W8 at least 2x faster than W1. The efficiency
-# guard is skipped on hosts with fewer than 4 CPUs — probes cannot
-# overlap commits without cores to run them on, so the ratio is
-# meaningless there.
+# stage's parallel efficiency: on a multi-core host the probe fan-out
+# must make W8 at least 2x faster than W1. The efficiency guard is
+# skipped on hosts with fewer than 4 CPUs — probes cannot run in
+# parallel without cores to run them on, so the ratio is meaningless
+# there.
 bench-check:
 	@test -f $(BENCH_BASELINE) || { echo "no $(BENCH_BASELINE); run make bench-baseline first"; exit 1; }
 	$(GO) test -run XXX -bench 'BenchmarkFigure2_PipelineEndToEnd$$' -benchtime 1x . | tee BENCH_check.txt
@@ -132,7 +132,7 @@ bench-check:
 	    ratio = w1 / w8; \
 	    printf "milking W1 %s ns/op, W8 %s ns/op, speedup %.2fx (need >=2x)\n", w1, w8, ratio; \
 	    exit (ratio < 2.0) ? 1 : 0 }' \
-	    || { echo "FAIL: Milking_W8 not >=2x faster than W1 — pipelined scheduler lost its parallel efficiency"; exit 1; }; \
+	    || { echo "FAIL: Milking_W8 not >=2x faster than W1 — probe fan-out lost its parallel efficiency"; exit 1; }; \
 	fi
 	@cpus=$$(nproc 2>/dev/null || echo 1); \
 	if [ "$$cpus" -lt 4 ]; then \
@@ -148,24 +148,6 @@ bench-check:
 	    printf "store append W1 %s ns/op, W8 %s ns/op, speedup %.2fx (need >=2x)\n", w1, w8, ratio; \
 	    exit (ratio < 2.0) ? 1 : 0 }' \
 	    || { echo "FAIL: StoreAppend_W8 not >=2x faster than W1 — band-sharded index lost its write scaling"; exit 1; }; \
-	fi
-	@$(GO) test -run XXX -bench 'BenchmarkPipelineE2E_(Phased|Streaming)$$' -benchtime 3x . | tee BENCH_stream.txt; \
-	ph=$$(awk '$$1 ~ /^BenchmarkPipelineE2E_Phased(-[0-9]+)?$$/ { print $$3 }' BENCH_stream.txt); \
-	st=$$(awk '$$1 ~ /^BenchmarkPipelineE2E_Streaming(-[0-9]+)?$$/ { print $$3 }' BENCH_stream.txt); \
-	rm -f BENCH_stream.txt; \
-	if [ -z "$$ph" ] || [ -z "$$st" ]; then echo "could not extract e2e schedule ns/op (phased=$$ph streaming=$$st)"; exit 1; fi; \
-	awk -v ph="$$ph" -v st="$$st" 'BEGIN { \
-	  printf "pipeline phased %s ns/op, streaming %s ns/op\n", ph, st; \
-	  exit (st + 0 > ph * 1.05) ? 1 : 0 }' \
-	  || { echo "FAIL: streaming pipeline slower than phased — the coordinator must never cost wall-clock"; exit 1; }; \
-	cpus=$$(nproc 2>/dev/null || echo 1); \
-	if [ "$$cpus" -lt 4 ]; then \
-	  echo "SKIP: streaming-overlap speedup guard needs >=4 CPUs (have $$cpus)"; \
-	else \
-	  awk -v ph="$$ph" -v st="$$st" 'BEGIN { \
-	    printf "streaming speedup %.2fx (need >=1.15x on a multi-core host)\n", ph / st; \
-	    exit (st + 0 > ph * 0.85) ? 1 : 0 }' \
-	    || { echo "FAIL: streaming pipeline <15% faster than phased — stage overlap lost its parallel win"; exit 1; }; \
 	fi
 	@$(GO) test -run XXX -bench 'BenchmarkIncrementalCluster_(Append|FullRebuild)$$' -benchtime 1x . | tee BENCH_incr.txt; \
 	app=$$(awk '$$1 ~ /^BenchmarkIncrementalCluster_Append(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "distance-calls") print $$i }' BENCH_incr.txt); \

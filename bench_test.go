@@ -25,7 +25,6 @@ import (
 	"repro/internal/btgraph"
 	"repro/internal/core"
 	"repro/internal/crawler"
-	"repro/internal/imaging"
 	"repro/internal/phash"
 	"repro/internal/rng"
 	"repro/internal/screenshot"
@@ -207,33 +206,6 @@ func benchFigure2(b *testing.B, workers int) {
 		if workers > 0 {
 			cfg.SetWorkers(workers)
 		}
-		res, err := NewExperiment(cfg).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Discovery.Campaigns()) == 0 {
-			b.Fatal("no campaigns")
-		}
-	}
-}
-
-// BenchmarkPipelineE2E_{Phased,Streaming} run the identical tiny-world
-// experiment under the two schedules: the legacy five-stage serial
-// pipeline vs the streaming coordinator (per-session analysis and
-// store appends under the crawl, shared backtracking graphs into
-// milking). Reports are byte-identical either way — see
-// TestReportDeterministicStreamingVsPhased — so the pair measures pure
-// schedule cost. bench-check guards that streaming is never slower,
-// and at least 15% faster where cores allow overlap.
-func BenchmarkPipelineE2E_Phased(b *testing.B)    { benchPipelineE2E(b, true) }
-func BenchmarkPipelineE2E_Streaming(b *testing.B) { benchPipelineE2E(b, false) }
-
-func benchPipelineE2E(b *testing.B, phased bool) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		cfg := QuickExperimentConfig()
-		cfg.World.Seed = int64(100 + i)
-		cfg.DisableStreaming = phased
 		res, err := NewExperiment(cfg).Run()
 		if err != nil {
 			b.Fatal(err)
@@ -452,9 +424,8 @@ func BenchmarkHashKernel_Naive(b *testing.B) {
 
 // BenchmarkHashKernel_Fused measures the fused single-pass kernel on
 // the same capture: inline xorshift noise + Rec.601 luminance + both
-// dual-grid accumulations, no intermediate buffers. Distinct seed per
-// iteration keeps the noise-plane cache out of the measurement — this
-// is the steady-state cold-capture cost.
+// dual-grid accumulations, no intermediate buffers. A distinct seed
+// per iteration measures the steady-state cold-capture cost.
 func BenchmarkHashKernel_Fused(b *testing.B) {
 	tmpl := secamp.NewTemplate(secamp.FakeSoftware, 0, rng.New(8))
 	img := screenshot.Render(tmpl.BuildDoc("http://x.club/l", 1), screenshot.Options{})
@@ -463,25 +434,6 @@ func BenchmarkHashKernel_Fused(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = phash.DHashNoisy(img, 2, uint64(i)|1)
 	}
-}
-
-// BenchmarkHashKernel_FusedPlaneHit measures the kernel when the noise
-// plane is cached (repeated seed past the admission gate): the serial
-// xorshift recurrence is replaced by table reads.
-func BenchmarkHashKernel_FusedPlaneHit(b *testing.B) {
-	tmpl := secamp.NewTemplate(secamp.FakeSoftware, 0, rng.New(8))
-	img := screenshot.Render(tmpl.BuildDoc("http://x.club/l", 1), screenshot.Options{})
-	nc := imaging.NewNoiseCache(0)
-	phash.DHashNoisyCached(img, 2, 42, nc) // first sighting
-	phash.DHashNoisyCached(img, 2, 42, nc) // admitted: plane built
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = phash.DHashNoisyCached(img, 2, 42, nc)
-	}
-	b.StopTimer()
-	hits, _, _, _ := nc.Stats()
-	b.ReportMetric(float64(hits)/float64(b.N)*100, "plane-hit-pct")
 }
 
 // benchScriptSource builds a representative obfuscated ad script — the

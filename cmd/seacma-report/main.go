@@ -51,7 +51,6 @@ func parseFlags(args []string) (*reportConfig, error) {
 		workers  = fs.Int("workers", 0, "worker count for the parallel stages (0 = per-stage defaults; output is identical for any value)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation profile to this file")
-		noIncr   = fs.Bool("no-incremental", false, "cluster with the legacy from-scratch batch DBSCAN instead of the incremental campaign store (output is byte-identical; A/B knob)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -72,7 +71,6 @@ func parseFlags(args []string) (*reportConfig, error) {
 	if *metrics != "" {
 		cfg.Obs = obs.New()
 	}
-	cfg.DisableIncremental = *noIncr
 	return &reportConfig{
 		exp: cfg, table: *table, jsonFile: *jsonFile, metrics: *metrics, seed: *seed,
 		cpuProfile: *cpuProf, memProfile: *memProf,

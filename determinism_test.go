@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/campstore"
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // goldenReportDigests pins the SHA-256 of reportBytes (tiny world,
@@ -23,12 +26,10 @@ var goldenReportDigests = map[int64]string{
 	3: "38bc9c5f9ee399dbd96523d6bc46dc8993112e6cb00267530af8ecdf3fbd5933",
 }
 
-// reportBytes runs the full pipeline for seed with the given worker
-// count on every parallel stage — crawl farm, milking engine, discovery
-// neighbourhood index — and returns the serialized report. tweak, when
-// non-nil, adjusts the experiment between construction and the run.
-func reportBytes(t *testing.T, seed int64, workers int, tweak func(*seacma.Experiment)) []byte {
-	t.Helper()
+// reportConfig is the tiny-world, milking-on configuration every
+// pinned digest describes, at the given worker count on every parallel
+// stage — crawl farm, milking engine, discovery neighbourhood index.
+func reportConfig(seed int64, workers int) seacma.ExperimentConfig {
 	cfg := seacma.QuickExperimentConfig()
 	cfg.World.Seed = seed
 	cfg.SetWorkers(workers)
@@ -38,8 +39,15 @@ func reportBytes(t *testing.T, seed int64, workers int, tweak func(*seacma.Exper
 	cfg.Milker.GSBExtra = 6 * time.Hour
 	cfg.Milker.FinalLookupAfter = 24 * time.Hour
 	cfg.Milker.MaxSources = 40
+	return cfg
+}
 
-	exp := seacma.NewExperiment(cfg)
+// reportBytes runs the full pipeline for seed under reportConfig and
+// returns the serialized report. tweak, when non-nil, adjusts the
+// experiment between construction and the run.
+func reportBytes(t *testing.T, seed int64, workers int, tweak func(*seacma.Experiment)) []byte {
+	t.Helper()
+	exp := seacma.NewExperiment(reportConfig(seed, workers))
 	if tweak != nil {
 		tweak(exp)
 	}
@@ -47,14 +55,14 @@ func reportBytes(t *testing.T, seed int64, workers int, tweak func(*seacma.Exper
 	if err != nil {
 		t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 	}
-	return serializeReport(t, exp, res)
+	return serializeReport(t, exp, res.RunResult)
 }
 
 // serializeReport builds and serializes the report of a finished run.
-func serializeReport(t *testing.T, exp *seacma.Experiment, res *seacma.Result) []byte {
+func serializeReport(t *testing.T, exp *seacma.Experiment, res *core.RunResult) []byte {
 	t.Helper()
 	patterns := core.PatternSetFromSeeds(exp.Pipeline.Cfg.Seeds)
-	rep := core.BuildReport(res.RunResult, patterns, exp.World.GSB, exp.World.Webcat, exp.World.Clock.Now())
+	rep := core.BuildReport(res, patterns, exp.World.GSB, exp.World.Webcat, exp.World.Clock.Now())
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("serialize: %v", err)
@@ -69,62 +77,6 @@ func assertGolden(t *testing.T, label string, seed int64, report []byte) {
 	if got, want := hex.EncodeToString(sum[:]), goldenReportDigests[seed]; got != want {
 		t.Errorf("%s: report digest %s, pinned %s", label, got, want)
 	}
-}
-
-// reportBytesCfg additionally allows forcing the parse-per-run script
-// path and the inline (plane-cache-free) hash kernel, for the
-// cache-on/cache-off invariance contracts.
-func reportBytesCfg(t *testing.T, workers int, disableScriptCache, disableNoisePlanes bool) []byte {
-	t.Helper()
-	return reportBytesMode(t, workers, disableScriptCache, disableNoisePlanes, false)
-}
-
-// reportBytesMode additionally selects the execution schedule: streaming
-// coordinator (the default) or the legacy phased path.
-func reportBytesMode(t *testing.T, workers int, disableScriptCache, disableNoisePlanes, disableStreaming bool) []byte {
-	t.Helper()
-	return reportBytes(t, 1, workers, func(exp *seacma.Experiment) {
-		exp.Cfg.DisableStreaming = disableStreaming
-		if disableScriptCache {
-			exp.Pipeline.Cfg.Scripts = nil
-			exp.Pipeline.Cfg.DisableScriptCache = true
-		}
-		if disableNoisePlanes {
-			exp.Pipeline.Cfg.DisableNoisePlanes = true
-			exp.Pipeline.Cfg.Capture.DisableNoisePlanes()
-		}
-	})
-}
-
-// reportBytesLockstep forces the milking scheduler back into strict
-// lock-step (probe wave and commit of each batch strictly alternate,
-// no tick coalescing, no probe/commit overlap) — the A/B reference for
-// the pipelined scheduler's equivalence contract.
-func reportBytesLockstep(t *testing.T, workers int) []byte {
-	t.Helper()
-	return reportBytes(t, 1, workers, func(exp *seacma.Experiment) {
-		exp.Pipeline.Cfg.Milker.DisablePipeline = true
-	})
-}
-
-// assertSameReport fails with the first divergent byte and its context
-// when two serialized reports differ.
-func assertSameReport(t *testing.T, labelA, labelB string, a, b []byte) {
-	t.Helper()
-	if bytes.Equal(a, b) {
-		return
-	}
-	sa, sb := string(a), string(b)
-	i := 0
-	for i < len(sa) && i < len(sb) && sa[i] == sb[i] {
-		i++
-	}
-	lo := i - 80
-	if lo < 0 {
-		lo = 0
-	}
-	t.Fatalf("report diverges at byte %d:\n  %s: ...%s\n  %s: ...%s",
-		i, labelA, sa[lo:min(i+80, len(sa))], labelB, sb[lo:min(i+80, len(sb))])
 }
 
 // TestReportDeterministicAcrossWorkerCounts is the parallelism
@@ -149,7 +101,7 @@ func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestReportDeterministicAcrossOddWorkerCounts extends the contract to
 // worker counts that do not divide typical batch sizes evenly: W3 and
 // W5 leave ragged tails on the probe fan-out, which is exactly where an
-// off-by-one in the pipelined scheduler's group replay would surface.
+// off-by-one in the milking scheduler's group replay would surface.
 func TestReportDeterministicAcrossOddWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
@@ -159,164 +111,60 @@ func TestReportDeterministicAcrossOddWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestReportDeterministicPipelinedVsLockstep is the scheduler
-// equivalence contract: overlapping batch N+1's probes with batch N's
-// commits (and coalescing consecutive milking ticks into one fan-out
-// group) must be observationally identical to the strict lock-step
-// schedule — same report, byte for byte, at the same worker count.
-func TestReportDeterministicPipelinedVsLockstep(t *testing.T) {
+// TestReportBatchFallback covers discovery's batch-clustering
+// fallback. A shared campaign store that clusters under other
+// parameters than the run's declines the run's observations, so
+// discovery batch-clusters instead, attaches no store and counts one
+// fallback. That must hold through the streaming coordinator (Run) and
+// through the per-stage Pipeline.Discover alike, and the report must
+// still be the pinned one.
+func TestReportBatchFallback(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full pipeline run")
+		t.Skip("full pipeline runs")
 	}
-	pipelined := reportBytes(t, 1, 4, nil)
-	lockstep := reportBytesLockstep(t, 4)
-	assertSameReport(t, "pipelined", "lockstep", pipelined, lockstep)
-	if len(pipelined) == 0 {
-		t.Fatal("empty report")
-	}
-}
-
-// TestReportDeterministicWithScriptCacheOnOff is the behaviour-invariance
-// contract of the compile-once program cache at the system level: the
-// end-to-end report must be byte-identical whether ad scripts run as
-// shared cached Programs or are re-parsed for every execution.
-func TestReportDeterministicWithScriptCacheOnOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline run")
-	}
-	cached := reportBytesCfg(t, 4, false, false)
-	uncached := reportBytesCfg(t, 4, true, false)
-	if !bytes.Equal(cached, uncached) {
-		a, b := string(cached), string(uncached)
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("report diverges at byte %d:\n  cached:   ...%s\n  uncached: ...%s",
-			i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
-	}
-	if len(cached) == 0 {
-		t.Fatal("empty report")
-	}
-}
-
-// TestReportDeterministicWithNoisePlanesOnOff is the same invariance
-// contract for the noise-plane cache behind the fused hash kernel: the
-// end-to-end report must be byte-identical whether capture noise comes
-// from cached delta planes or the inline xorshift stream — and it must
-// hold across worker counts at the same time (planes off at 1 worker vs
-// planes on at 8), so kernel selection can never interact with
-// scheduling.
-func TestReportDeterministicWithNoisePlanesOnOff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline run")
-	}
-	planes := reportBytesCfg(t, 4, false, false)
-	inline := reportBytesCfg(t, 4, false, true)
-	crossed := reportBytesCfg(t, 1, false, true)
-	for name, other := range map[string][]byte{"inline-4w": inline, "inline-1w": crossed} {
-		if !bytes.Equal(planes, other) {
-			a, b := string(planes), string(other)
-			i := 0
-			for i < len(a) && i < len(b) && a[i] == b[i] {
-				i++
+	other := cluster.PaperParams
+	other.MinPts++
+	runs := []struct {
+		name string
+		run  func(*seacma.Experiment) (*core.RunResult, error)
+	}{
+		{"Run", func(exp *seacma.Experiment) (*core.RunResult, error) {
+			res, err := exp.Run()
+			if err != nil {
+				return nil, err
 			}
-			lo := i - 80
-			if lo < 0 {
-				lo = 0
+			return res.RunResult, nil
+		}},
+		{"per-stage", func(exp *seacma.Experiment) (*core.RunResult, error) {
+			p := exp.Pipeline
+			out := &core.RunResult{}
+			out.PublisherHosts, out.NetworksByHost = p.Reverse()
+			out.Sessions = p.Crawl(out.NetworksByHost)
+			disc, err := p.Discover(out.Sessions)
+			if err != nil {
+				return nil, err
 			}
-			t.Fatalf("report diverges from %s at byte %d:\n  planes: ...%s\n  %s: ...%s",
-				name, i, a[lo:min(i+80, len(a))], name, b[lo:min(i+80, len(b))])
-		}
+			out.Discovery = disc
+			out.Attributions = p.Attribute(out.Sessions)
+			out.Sources, out.Milking, err = p.Milk(out.Sessions, disc)
+			return out, err
+		}},
 	}
-	if len(planes) == 0 {
-		t.Fatal("empty report")
-	}
-}
-
-// TestReportDeterministicIncrementalVsBatch proves the incremental
-// campaign store path (the default) and the legacy from-scratch batch
-// clustering serialize byte-identical reports, at 1 and 4 workers.
-func TestReportDeterministicIncrementalVsBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline run")
-	}
-	bytesFor := func(workers int, disableIncremental bool) []byte {
-		cfg := seacma.QuickExperimentConfig()
-		cfg.SetWorkers(workers)
-		cfg.Milker.Duration = 6 * time.Hour
-		cfg.Milker.GSBExtra = 6 * time.Hour
-		cfg.Milker.FinalLookupAfter = 24 * time.Hour
-		cfg.Milker.MaxSources = 40
-		cfg.DisableIncremental = disableIncremental
+	for _, r := range runs {
+		cfg := reportConfig(1, 4)
+		cfg.Obs = obs.New()
+		cfg.Campaigns = campstore.New(campstore.Config{Params: other})
 		exp := seacma.NewExperiment(cfg)
-		res, err := exp.Run()
+		res, err := r.run(exp)
 		if err != nil {
-			t.Fatalf("workers=%d incremental=%v: %v", workers, !disableIncremental, err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		if disableIncremental {
-			if res.Discovery.Store != nil {
-				t.Fatalf("legacy path attached a store")
-			}
-		} else if res.Discovery.Store == nil {
-			t.Fatalf("incremental path did not attach a store")
+		if res.Discovery.Store != nil {
+			t.Errorf("%s: batch fallback attached a store", r.name)
 		}
-		patterns := core.PatternSetFromSeeds(exp.Pipeline.Cfg.Seeds)
-		rep := core.BuildReport(res.RunResult, patterns, exp.World.GSB, exp.World.Webcat, exp.World.Clock.Now())
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatalf("serialize: %v", err)
+		if got := cfg.Obs.Counter("discovery_incremental_fallback_total").Value(); got != 1 {
+			t.Errorf("%s: discovery_incremental_fallback_total = %d, want 1", r.name, got)
 		}
-		return buf.Bytes()
+		assertGolden(t, r.name, 1, serializeReport(t, exp, res))
 	}
-	incr := bytesFor(1, false)
-	for name, other := range map[string][]byte{
-		"batch-1w":       bytesFor(1, true),
-		"batch-4w":       bytesFor(4, true),
-		"incremental-4w": bytesFor(4, false),
-	} {
-		if !bytes.Equal(incr, other) {
-			t.Fatalf("report bytes diverge between incremental-1w and %s", name)
-		}
-	}
-	if len(incr) == 0 {
-		t.Fatal("empty report")
-	}
-}
-
-// TestReportDeterministicStreamingVsPhased is the streaming
-// coordinator's equivalence contract: overlapping crawl, discovery and
-// attribution behind the session stream must serialize the exact same
-// report bytes as the five-barrier phased schedule — at 1, 4 and 8
-// workers, and with the script/noise-plane caches both on and off.
-func TestReportDeterministicStreamingVsPhased(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline run")
-	}
-	baseline := reportBytesMode(t, 1, false, false, true)
-	if len(baseline) == 0 {
-		t.Fatal("empty report")
-	}
-	for name, b := range map[string][]byte{
-		"streaming-1w":         reportBytesMode(t, 1, false, false, false),
-		"streaming-4w":         reportBytesMode(t, 4, false, false, false),
-		"streaming-8w":         reportBytesMode(t, 8, false, false, false),
-		"phased-4w":            reportBytesMode(t, 4, false, false, true),
-		"phased-8w":            reportBytesMode(t, 8, false, false, true),
-		"streaming-4w-nocache": reportBytesMode(t, 4, true, true, false),
-		"phased-4w-nocache":    reportBytesMode(t, 4, true, true, true),
-	} {
-		assertSameReport(t, "phased-1w", name, baseline, b)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -223,7 +223,11 @@ func BenchmarkStoreAppend_W8(b *testing.B) { benchmarkStoreAppend(b, 8) }
 // (labels, pagination, stats, campaign projections). The contract is
 // that reads never block writes: ns/op should track the W1 append
 // bench, and reads/op records how much snapshot traffic rode along.
+// The writer starts behind a barrier that every reader passes after
+// its first full read, so each reader overlaps the appends; a run that
+// records no reads measured nothing and fails.
 func BenchmarkStoreMixed_ReadHeavy(b *testing.B) {
+	const readers = 3
 	corpus := incrementalCorpus(incrClusters, incrPerClust, incrNoise)
 	b.ReportAllocs()
 	var reads atomic.Int64
@@ -231,25 +235,30 @@ func BenchmarkStoreMixed_ReadHeavy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := campstore.New(campstore.Config{})
 		stop := make(chan struct{})
-		var readWG sync.WaitGroup
-		for r := 0; r < 3; r++ {
+		var readWG, started sync.WaitGroup
+		started.Add(readers)
+		for r := 0; r < readers; r++ {
 			readWG.Add(1)
 			go func() {
 				defer readWG.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
+				for first := true; ; first = false {
 					st.LiveLabels()
 					st.Events(0, 32)
 					st.Stats()
 					st.LiveCampaigns()
 					reads.Add(1)
+					if first {
+						started.Done()
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
 				}
 			}()
 		}
+		started.Wait()
 		for off := 0; off < len(corpus); off += incrBatchSize {
 			end := off + incrBatchSize
 			if end > len(corpus) {
@@ -263,5 +272,8 @@ func BenchmarkStoreMixed_ReadHeavy(b *testing.B) {
 		readWG.Wait()
 	}
 	b.StopTimer()
+	if reads.Load() == 0 {
+		b.Fatal("no snapshot reads rode along with the appends")
+	}
 	b.ReportMetric(float64(reads.Load())/float64(b.N), "reads")
 }

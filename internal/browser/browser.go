@@ -157,9 +157,9 @@ type Browser struct {
 	// pinned, when non-zero, is the session-local time: every request
 	// timestamp, log event, and capture seed reads it instead of the live
 	// clock, and paced fetches advance it instead of the clock. The
-	// pipelined milker pins each probe to its tick instant so overlapped
-	// execution observes exactly the time a lock-step run would; the
-	// crawler pins each session to its slot on the crawl timeline.
+	// milker pins each probe to its tick instant so a coalesced group
+	// observes exactly the time a tick-by-tick run would; the crawler
+	// pins each session to its slot on the crawl timeline.
 	pinned time.Time
 	// spare is one tab retained across ResetSession for reuse: its
 	// interpreter, listener map, and host environment survive, cutting

@@ -37,10 +37,6 @@ type DiscoveryParams struct {
 	// is the default clustering path. Labels are identical to the batch
 	// path by the campstore property/oracle guarantees.
 	Store *campstore.Store
-	// DisableIncremental forces the legacy from-scratch batch
-	// clustering (multi-index build + DBSCAN). The A/B knob for the
-	// determinism suite and benches.
-	DisableIncremental bool
 }
 
 // PaperDiscoveryParams are the published values.
@@ -234,23 +230,21 @@ func discoverIncremental(st *campstore.Store, obs []Observation, params Discover
 
 // Discover runs clustering ⑤ and the θc filter on crawl output, then
 // triages each surviving cluster (Section 4.3). Clustering runs
-// through the incremental campaign store by default (params.Store, or
-// a private one); the legacy batch path remains as the A/B reference
-// and the fallback when a shared store is unusable for this run.
+// through the incremental campaign store (params.Store, or a private
+// one); batch clustering is the fallback when a shared store is
+// unusable for this run.
 func Discover(sessions []*crawler.Session, params DiscoveryParams) (*DiscoveryResult, error) {
 	obs := CollectObservations(sessions)
 	var res cluster.Result
 	var store *campstore.Store
-	if !params.DisableIncremental {
-		st := params.Store
-		if st == nil {
-			st = campstore.New(campstore.Config{Params: params.Cluster, Obs: params.Obs})
-		}
-		if r, ok := discoverIncremental(st, obs, params); ok {
-			res, store = r, st
-		} else if params.Store != nil {
-			params.Obs.Counter("discovery_incremental_fallback_total").Inc()
-		}
+	st := params.Store
+	if st == nil {
+		st = campstore.New(campstore.Config{Params: params.Cluster, Obs: params.Obs})
+	}
+	if r, ok := discoverIncremental(st, obs, params); ok {
+		res, store = r, st
+	} else if params.Store != nil {
+		params.Obs.Counter("discovery_incremental_fallback_total").Inc()
 	}
 	if store == nil {
 		r, err := clusterBatch(obs, params)
@@ -262,7 +256,7 @@ func Discover(sessions []*crawler.Session, params DiscoveryParams) (*DiscoveryRe
 	return assembleDiscovery(sessions, obs, res, store, params)
 }
 
-// clusterBatch is the legacy from-scratch clustering path: multi-index
+// clusterBatch is the from-scratch clustering fallback: multi-index
 // build + batch DBSCAN over the full observation sequence.
 func clusterBatch(obs []Observation, params DiscoveryParams) (cluster.Result, error) {
 	hashes := make([]phash.Hash, len(obs))
@@ -284,10 +278,10 @@ func clusterBatch(obs []Observation, params DiscoveryParams) (cluster.Result, er
 }
 
 // assembleDiscovery is everything downstream of clustering: the θc
-// domain filter, triage, stable ordering and campaign registration. The
-// phased path and the streaming coordinator both end here, with an
-// identical observation sequence and label assignment — which is what
-// makes their DiscoveryResults (and report bytes) identical.
+// domain filter, triage, stable ordering and campaign registration.
+// The per-stage Discover and the streaming coordinator both end here,
+// with an identical observation sequence and label assignment — which
+// is what makes their DiscoveryResults (and report bytes) identical.
 func assembleDiscovery(sessions []*crawler.Session, obs []Observation, res cluster.Result, store *campstore.Store, params DiscoveryParams) (*DiscoveryResult, error) {
 	out := &DiscoveryResult{
 		Observations:  obs,

@@ -148,17 +148,10 @@ type MilkerConfig struct {
 	// each source once dominates. API-call traces are byte-identical with
 	// or without it. Nil parses per script run.
 	Scripts *adscript.ProgramCache
-	// DisablePipeline forces the lock-step scheduler: each virtual tick
-	// is probed and committed synchronously before the clock moves, with
-	// no probe/commit overlap and no multi-tick coalescing. The
-	// pipelined scheduler is report-identical by construction (see
-	// DESIGN.md); the knob exists for A/B verification and as an escape
-	// hatch.
-	DisablePipeline bool
 	// Campaigns, when non-nil, receives every verified milked sighting
 	// as an incremental observation event (hash, e2LD, virtual tick,
-	// source "milk"). Events are appended by the single committer in
-	// commit order, so the event log's sequence numbers are
+	// source "milk"). Events are appended by the scheduler in commit
+	// order, so the event log's sequence numbers are
 	// deterministic; the store dedups on the full tuple, so repeat runs
 	// over a shared store append nothing new. Milking results are
 	// unaffected by the store.
@@ -309,14 +302,7 @@ type Milker struct {
 	clientMu sync.Mutex
 	clients  []*devtools.Client
 
-	// Pipelined-commit state. At most one commit group is in flight:
-	// flush waits for the previous group to drain before dispatching the
-	// next, so global commit order equals lock-step order. commitWG is
-	// Add/Wait'ed only on the scheduler goroutine.
-	commitWG     sync.WaitGroup
-	commitBusy   atomic.Bool
-	commitFinish atomic.Int64 // wall nanos when the last group drained
-	pollBuf      []bool       // reusable verdict buffer for poll fan-out
+	pollBuf []bool // reusable verdict buffer for poll fan-out
 }
 
 // milkJob is one work batch broadcast to the persistent pool: every
@@ -343,27 +329,17 @@ type milkMetrics struct {
 	gsbPolls   *obs.Counter // milker_gsb_polls_total: blacklist lookups
 	vtSubmits  *obs.Counter // milker_vt_submissions_total
 	verified   *obs.Counter // milker_verified_match_total
-	// Pipeline health (wall-clock): how long the scheduler stalled
-	// waiting for commits to drain, how long the committer sat idle
-	// waiting for the next probed group, and the high-watermark pipeline
-	// depth (2 = probe/commit overlap actually occurred).
-	probeStall  *obs.Counter // milker_probe_stall_ns_total
-	commitStall *obs.Counter // milker_commit_stall_ns_total
-	depth       *obs.Gauge   // milker_pipeline_depth
 }
 
 // NewMilker builds a Milker.
 func NewMilker(internet *webtx.Internet, clock *vclock.Clock, bl *gsb.Blacklist, vt *vtsim.Service, cfg MilkerConfig) *Milker {
 	cfg.fillDefaults()
 	m := &Milker{internet: internet, clock: clock, gsb: bl, vt: vt, cfg: cfg, met: milkMetrics{
-		milks:       cfg.Obs.Counter("milker_milks_total"),
-		newDomains:  cfg.Obs.Counter("milker_new_domains_total"),
-		gsbPolls:    cfg.Obs.Counter("milker_gsb_polls_total"),
-		vtSubmits:   cfg.Obs.Counter("milker_vt_submissions_total"),
-		verified:    cfg.Obs.Counter("milker_verified_match_total"),
-		probeStall:  cfg.Obs.Counter("milker_probe_stall_ns_total"),
-		commitStall: cfg.Obs.Counter("milker_commit_stall_ns_total"),
-		depth:       cfg.Obs.Gauge("milker_pipeline_depth"),
+		milks:      cfg.Obs.Counter("milker_milks_total"),
+		newDomains: cfg.Obs.Counter("milker_new_domains_total"),
+		gsbPolls:   cfg.Obs.Counter("milker_gsb_polls_total"),
+		vtSubmits:  cfg.Obs.Counter("milker_vt_submissions_total"),
+		verified:   cfg.Obs.Counter("milker_verified_match_total"),
 	}}
 	m.workerCtrs = make([]*obs.Counter, m.cfg.Workers)
 	for w := range m.workerCtrs {
@@ -411,33 +387,6 @@ func (m *Milker) VerifySources(cands []MilkSource) []MilkSource {
 		}
 	}
 	return out
-}
-
-// seenSet is the set of attack hosts already committed. Probes consult
-// it concurrently (a stale read only costs a redundant screenshot hash;
-// the committer re-checks authoritatively), the single committer writes
-// it.
-type seenSet struct {
-	mu sync.RWMutex
-	m  map[string]bool
-}
-
-func newSeenSet() *seenSet { return &seenSet{m: map[string]bool{}} }
-
-func (s *seenSet) has(h string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.RLock()
-	v := s.m[h]
-	s.mu.RUnlock()
-	return v
-}
-
-func (s *seenSet) add(h string) {
-	s.mu.Lock()
-	s.m[h] = true
-	s.mu.Unlock()
 }
 
 // milkProbe is the parallel half of one milking session: navigation,
@@ -495,7 +444,7 @@ func (m *Milker) releaseClient(c *devtools.Client) {
 // the probe hit a verified-fresh page, in which case it rides along in
 // p.client/p.tab for the commit phase (phone harvest, download clicks),
 // whose owner releases it.
-func (m *Milker) probe(src MilkSource, seen *seenSet, pinAt time.Time) milkProbe {
+func (m *Milker) probe(src MilkSource, seen map[string]bool, pinAt time.Time) milkProbe {
 	var p milkProbe
 	client := m.acquireClient(m.clientConfig(src))
 	client.PinTime(pinAt)
@@ -513,7 +462,7 @@ func (m *Milker) probe(src MilkSource, seen *seenSet, pinAt time.Time) milkProbe
 		return p
 	}
 	p.ok, p.host = true, tab.URL.Host
-	if !seen.has(p.host) {
+	if !seen[p.host] {
 		if h, err := client.Browser().ScreenshotHash(tab); err == nil {
 			p.hash, p.hashed = h, true
 		}
@@ -594,13 +543,13 @@ func (m *Milker) Close() {
 	})
 }
 
-// commit is the serial half of one milking session. The single
-// committer invokes it in (tick, source) order, which fixes
+// commit is the serial half of one milking session. The scheduler
+// invokes it in (tick, source) order, which fixes
 // first-discovery of seen hosts, GSB lag bookkeeping, download
 // sequencing and result-slice order — everything the probe phase
 // deliberately leaves untouched. A client retained by the probe is
 // returned to the pool here on every path.
-func (m *Milker) commit(src MilkSource, p milkProbe, now time.Time, res *MilkingResult, seen *seenSet, unlisted *[]int, milkEvents *[]campstore.Event) {
+func (m *Milker) commit(src MilkSource, p milkProbe, now time.Time, res *MilkingResult, seen map[string]bool, unlisted *[]int, milkEvents *[]campstore.Event) {
 	if p.client != nil {
 		defer m.releaseClient(p.client)
 	}
@@ -608,10 +557,10 @@ func (m *Milker) commit(src MilkSource, p milkProbe, now time.Time, res *Milking
 	if !p.ok {
 		return
 	}
-	if seen.has(p.host) {
+	if seen[p.host] {
 		return
 	}
-	seen.add(p.host)
+	seen[p.host] = true
 
 	// Never-before-seen domain: verify it still shows the campaign's
 	// attack, then record and blacklist-check it.
@@ -621,10 +570,10 @@ func (m *Milker) commit(src MilkSource, p milkProbe, now time.Time, res *Milking
 	m.met.newDomains.Inc()
 	m.hourly("milker_new_domains_hourly", now).Inc()
 	if m.cfg.Campaigns != nil {
-		// Commit order is the lock-step (tick, source) order, so the
-		// event log grows deterministically; events are buffered here
-		// and flushed as one AppendBatch per commit group (the store's
-		// batched ingest path), still from the single committer.
+		// Commit order is (tick, source) order, so the event log grows
+		// deterministically; events are buffered here and flushed as
+		// one AppendBatch per commit group (the store's batched ingest
+		// path).
 		*milkEvents = append(*milkEvents, campstore.Event{
 			Hash: p.hash, E2LD: urlx.E2LD(p.host), Tick: now, Source: campstore.SourceMilk,
 		})
@@ -687,9 +636,9 @@ type probeReq struct {
 }
 
 // milkGroup is one coalesced run of consecutive milking ticks: the unit
-// the pipelined scheduler probes as a whole and commits as a whole. Two
-// groups ping-pong through the scheduler — one accumulating/probing
-// while the other commits — so group storage is allocated once per run.
+// the scheduler probes as a whole and commits as a whole. One group is
+// reset and refilled for the whole run, so its storage is allocated
+// once.
 type milkGroup struct {
 	ticks  []milkTick
 	reqs   []probeReq
@@ -737,10 +686,6 @@ func (g *milkGroup) buildReqs() {
 	}
 }
 
-// waitInflight blocks until the in-flight commit group (if any) has
-// fully drained. Scheduler goroutine only.
-func (m *Milker) waitInflight() { m.commitWG.Wait() }
-
 // pollUnlisted looks up every yet-unlisted domain at now and compacts
 // the unlisted index. The lookups are pure reads of the sharded
 // blacklist, so with enough of them pending they fan out across the
@@ -786,14 +731,13 @@ func (m *Milker) pollUnlisted(unlisted *[]int, res *MilkingResult, now time.Time
 // until Duration+GSBExtra, and a final lookup at
 // Duration+FinalLookupAfter (files are rescanned then too).
 //
-// The scheduler is pipelined: sources due in one coalesced group of
-// ticks are probed across cfg.Workers workers while the previous
-// group's sessions commit serially in (tick, source) order, and every
-// probe is pinned to its tick's virtual instant. The lookahead gate —
-// groups never extend across a blacklist-poll instant, and a poll waits
-// for in-flight commits to drain — keeps every cross-batch dependency
-// lock-step, so the result is byte-identical for every worker count and
-// with the pipeline disabled (see DESIGN.md).
+// Consecutive milking ticks coalesce into groups that never extend
+// across a blacklist-poll instant. Each group's sessions are probed
+// across cfg.Workers workers, every probe pinned to its tick's virtual
+// instant, and then committed serially in (tick, source) order before
+// the clock moves on. A poll therefore always sees every session due
+// before it committed, so the result is byte-identical for every worker
+// count (see DESIGN.md).
 func (m *Milker) Run(sources []MilkSource) (*MilkingResult, error) {
 	return m.RunContext(context.Background(), sources)
 }
@@ -816,7 +760,7 @@ func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*Milking
 	if len(sources) == 0 {
 		return res, Errorf("milker: no sources")
 	}
-	seen := newSeenSet()
+	seen := map[string]bool{}
 	// unlisted indexes the res.Domains entries still awaiting a positive
 	// blacklist verdict, so each poll touches only those instead of
 	// rescanning every domain ever milked.
@@ -824,11 +768,9 @@ func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*Milking
 	horizon := m.clock.Now().Add(m.cfg.Duration)
 	gsbHorizon := horizon.Add(m.cfg.GSBExtra)
 
-	// Two groups ping-pong: cur accumulates due ticks (timer callbacks
-	// only record; flush fans out), spare is whichever buffer the last
-	// dispatched commit no longer needs.
-	var bufs [2]milkGroup
-	cur, spare := &bufs[0], &bufs[1]
+	// g accumulates due ticks: timer callbacks only record, flush probes
+	// and commits.
+	var g milkGroup
 
 	for i := range sources {
 		i := i
@@ -838,22 +780,19 @@ func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*Milking
 			}
 			m.met.milks.Inc()
 			m.hourly("milker_milks_hourly", now).Inc()
-			cur.addDue(now, i)
+			g.addDue(now, i)
 			return true
 		}); err != nil {
 			return nil, Errorf("milker: schedule: %v", err)
 		}
 	}
 	// Blacklist polling: every GSBInterval, look up every yet-unlisted
-	// domain. The poll reads domains the committer writes, so it first
-	// drains the in-flight commit group — the poll side of the lookahead
-	// gate (the flush side never coalesces ticks across a poll instant,
-	// so everything due before this instant has already been dispatched).
+	// domain. Groups never coalesce across a poll instant, so every
+	// session due before this instant has already committed.
 	if err := m.clock.Every(m.cfg.GSBInterval, gsbHorizon, func(now time.Time) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		m.waitInflight()
 		m.pollUnlisted(&unlisted, res, now)
 		return true
 	}); err != nil {
@@ -865,40 +804,14 @@ func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*Milking
 		return d > 0 && d%m.cfg.GSBInterval == 0 && !at.After(gsbHorizon)
 	}
 	// maxCoalescedTicks bounds how many milking instants fuse into one
-	// group: enough to amortize fan-out overhead on small worker pools,
-	// small enough to keep probe/commit overlap fine-grained.
+	// group: enough to amortize fan-out overhead on small worker pools.
 	const maxCoalescedTicks = 4
 	coalesce := func(next time.Time) bool {
-		if m.cfg.DisablePipeline {
-			return false
-		}
-		return !pollAligned(next) && len(cur.ticks) < maxCoalescedTicks
+		return !pollAligned(next) && len(g.ticks) < maxCoalescedTicks
 	}
 
-	// commitGroup replays the group serially in (tick, source) order —
-	// the exact order the lock-step scheduler commits in — then flushes
-	// the group's verified milk events to the campaign store as one
-	// batched append. milkEvents is only ever touched by the single
-	// committer (commitWG serializes the handoff between the inline and
-	// background paths).
 	var milkEvents []campstore.Event
-	commitGroup := func(g *milkGroup) {
-		k := 0
-		for i := range g.ticks {
-			t := &g.ticks[i]
-			for _, si := range t.due {
-				m.commit(sources[si], g.probes[k], t.now, res, seen, &unlisted, &milkEvents)
-				k++
-			}
-		}
-		if m.cfg.Campaigns != nil && len(milkEvents) > 0 {
-			_, _ = m.cfg.Campaigns.AppendBatch(milkEvents)
-			milkEvents = milkEvents[:0]
-		}
-	}
-
 	flush := func() {
-		g := cur
 		if ctx.Err() != nil {
 			// Drop the whole un-probed group: cancellation never emits a
 			// partially-committed batch.
@@ -909,53 +822,32 @@ func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*Milking
 			return
 		}
 		g.buildReqs()
-		if m.commitBusy.Load() {
-			m.met.depth.SetMax(2)
-		} else {
-			m.met.depth.SetMax(1)
-		}
-		// Probe phase: fans out across the pool while the previous
-		// group's commits may still be draining — the pipeline overlap.
-		// Probes read only state commits never change within a group
-		// window (stale seen reads are re-checked at commit).
+		// Probe phase: fans out across the pool. Probes write no shared
+		// state; the seen set they read changes only in the commit phase
+		// below, which re-checks it authoritatively.
 		probes, reqs := g.probes, g.reqs
 		m.runParallel(len(reqs), m.workerCtrs, func(k int) {
 			probes[k] = m.probe(sources[reqs[k].si], seen, reqs[k].at)
 		})
-		// Commit-side of the lookahead gate: at most one group commits
-		// at a time, so commit order equals lock-step order.
-		waitStart := time.Now()
-		m.waitInflight()
-		if d := time.Since(waitStart); d > 0 {
-			m.met.probeStall.Add(int64(d))
-		}
-		if m.cfg.DisablePipeline {
-			commitGroup(g)
-			g.reset()
-			return
-		}
-		// The drained buffer becomes the next accumulator; g belongs to
-		// the committer until the next wait.
-		cur = spare
-		spare = g
-		cur.reset()
-		if last := m.commitFinish.Load(); last != 0 {
-			if idle := time.Now().UnixNano() - last; idle > 0 {
-				m.met.commitStall.Add(idle)
+		// Commit phase: replay the group serially in (tick, source)
+		// order, then flush its verified milk events to the campaign
+		// store as one batched append.
+		k := 0
+		for i := range g.ticks {
+			t := &g.ticks[i]
+			for _, si := range t.due {
+				m.commit(sources[si], probes[k], t.now, res, seen, &unlisted, &milkEvents)
+				k++
 			}
 		}
-		m.commitBusy.Store(true)
-		m.commitWG.Add(1)
-		go func() {
-			commitGroup(g)
-			m.commitFinish.Store(time.Now().UnixNano())
-			m.commitBusy.Store(false)
-			m.commitWG.Done()
-		}()
+		if m.cfg.Campaigns != nil && len(milkEvents) > 0 {
+			_, _ = m.cfg.Campaigns.AppendBatch(milkEvents)
+			milkEvents = milkEvents[:0]
+		}
+		g.reset()
 	}
 
 	m.clock.AdvanceToCoalesced(gsbHorizon.Add(time.Minute), coalesce, flush)
-	m.waitInflight()
 	res.End = horizon
 	if err := ctx.Err(); err != nil {
 		return res, Errorf("milker: cancelled: %v", err)

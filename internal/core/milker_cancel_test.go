@@ -54,7 +54,7 @@ func milkUnderCtx(t *testing.T, ctx context.Context) ([]core.MilkSource, *core.M
 	return p.MilkContext(ctx, sessions, disc)
 }
 
-// TestMilkingCancelNeverSplitsBatch is the pipelined scheduler's
+// TestMilkingCancelNeverSplitsBatch is the milking scheduler's
 // cancellation contract: a run cancelled mid-schedule must return a
 // partial result that (a) contains only whole committed batches — every
 // milking tick schedules one session per source, batches coalesce whole

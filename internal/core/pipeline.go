@@ -37,22 +37,13 @@ type PipelineConfig struct {
 	Obs *obs.Registry
 	// Capture is the content-addressed capture cache shared by the crawl
 	// and milking stages. NewPipeline creates one (bound to Obs) when
-	// left nil, so a pipeline always runs with the fast path; set
-	// DisableCapture to opt out for A/B benchmarking.
+	// left nil, so a pipeline always runs with the fast path.
 	Capture *screenshot.Cache
-	// DisableCapture forces uncached captures even when Capture is nil.
-	DisableCapture bool
-	// DisableNoisePlanes drops the noise-plane cache inside the capture
-	// cache, pinning the hash kernel to its inline path. Reports are
-	// byte-identical either way; the knob exists so the determinism
-	// suite and A/B benches can prove it.
-	DisableNoisePlanes bool
 	// Scripts is the compile-once program cache shared by the crawl and
 	// milking stages. NewPipeline creates one (bound to Obs) when left
-	// nil; set DisableScriptCache to opt out for A/B benchmarking.
+	// nil. Clearing it on a built pipeline parses every script per run;
+	// reports are byte-identical either way.
 	Scripts *adscript.ProgramCache
-	// DisableScriptCache forces parse-per-run even when Scripts is nil.
-	DisableScriptCache bool
 	// Campaigns is the incremental campaign store: discovery appends
 	// crawl observations and clusters through it, the milker appends
 	// verified milked sightings, and a service owner queries live
@@ -61,15 +52,6 @@ type PipelineConfig struct {
 	// (seacma-serve) passes one per world so repeat jobs reuse the
 	// absorbed observations.
 	Campaigns *campstore.Store
-	// DisableIncremental pins discovery to the legacy from-scratch
-	// batch clustering and detaches the milker from the store — the
-	// A/B knob proving reports are byte-identical either way.
-	DisableIncremental bool
-	// DisableStreaming pins RunContext to the legacy phased execution
-	// (five serial stages with full barriers) instead of the streaming
-	// coordinator that overlaps crawl, discovery and attribution. The
-	// A/B knob proving reports are byte-identical either way.
-	DisableStreaming bool
 }
 
 // Pipeline is the end-to-end SEACMA system bound to one (synthetic) web.
@@ -163,13 +145,10 @@ func (r *RunResult) SEAttackCount() int {
 // NewPipeline binds a pipeline to the measurement-facing services.
 func NewPipeline(cfg PipelineConfig, internet *webtx.Internet, clock *vclock.Clock,
 	search *websearch.Engine, bl *gsb.Blacklist, vt *vtsim.Service, cats *webcat.Service) *Pipeline {
-	if cfg.Capture == nil && !cfg.DisableCapture {
+	if cfg.Capture == nil {
 		cfg.Capture = screenshot.NewCache(0, cfg.Obs)
 	}
-	if cfg.DisableNoisePlanes {
-		cfg.Capture.DisableNoisePlanes()
-	}
-	if cfg.Scripts == nil && !cfg.DisableScriptCache {
+	if cfg.Scripts == nil {
 		cfg.Scripts = adscript.NewProgramCache(0, cfg.Obs)
 	}
 	return &Pipeline{Cfg: cfg, Internet: internet, Clock: clock, Search: search, GSB: bl, VT: vt, Webcat: cats}
@@ -207,7 +186,7 @@ func (p *Pipeline) CrawlContext(ctx context.Context, byHost map[string][]string)
 }
 
 // crawlFarm builds the deterministic (task, UA) crawl plan and the farm,
-// shared by the phased and streaming paths.
+// shared by the per-stage Crawl and the streaming coordinator.
 func (p *Pipeline) crawlFarm(byHost map[string][]string) (*crawler.Crawler, []crawler.Task) {
 	inst, res := GroupPublishers(byHost, p.Cfg.Seeds)
 	var tasks []crawler.Task
@@ -246,9 +225,6 @@ func (p *Pipeline) Discover(sessions []*crawler.Session) (*DiscoveryResult, erro
 	if params.Store == nil {
 		params.Store = p.Cfg.Campaigns
 	}
-	if p.Cfg.DisableIncremental {
-		params.DisableIncremental = true
-	}
 	return Discover(sessions, params)
 }
 
@@ -271,13 +247,13 @@ func (p *Pipeline) MilkContext(ctx context.Context, sessions []*crawler.Session,
 }
 
 // milkContext is MilkContext with an optional prebuilt backtracking
-// graph cache from the streaming coordinator (nil on the phased path).
+// graph cache from the streaming coordinator (nil from MilkContext).
 func (p *Pipeline) milkContext(ctx context.Context, sessions []*crawler.Session, disc *DiscoveryResult, graphs map[int]*btgraph.Graph) ([]MilkSource, *MilkingResult, error) {
 	mcfg := p.Cfg.Milker
 	if mcfg.Obs == nil {
 		mcfg.Obs = p.Cfg.Obs
 	}
-	if mcfg.Campaigns == nil && disc != nil && !p.Cfg.DisableIncremental {
+	if mcfg.Campaigns == nil && disc != nil {
 		// Milked sightings extend the same store discovery clustered
 		// through, so live campaign state keeps tracking during milking.
 		mcfg.Campaigns = disc.Store
@@ -311,51 +287,11 @@ func (p *Pipeline) Run() (*RunResult, error) {
 	return p.RunContext(context.Background())
 }
 
-// RunContext executes the full pipeline under ctx. Cancellation is
-// observed between stages and inside the two long-running loops (crawl
-// session feed, milking virtual ticks); a cancelled run returns
-// ctx.Err() and the partial result must be discarded.
-//
-// The streaming coordinator (RunStream) is the default execution; the
-// DisableStreaming knob selects the legacy phased path. Both produce
-// byte-identical results.
+// RunContext executes the full pipeline under ctx through the streaming
+// coordinator (RunStream). Cancellation is observed between stages and
+// inside the two long-running loops (crawl session feed, milking
+// virtual ticks); a cancelled run returns ctx.Err() and the partial
+// result must be discarded.
 func (p *Pipeline) RunContext(ctx context.Context) (*RunResult, error) {
-	if p.Cfg.DisableStreaming {
-		return p.runPhasedContext(ctx)
-	}
 	return p.RunStream(ctx, StreamOptions{})
-}
-
-// runPhasedContext is the legacy five-serial-stage execution, kept as
-// the A/B reference for the streaming coordinator.
-func (p *Pipeline) runPhasedContext(ctx context.Context) (*RunResult, error) {
-	out := &RunResult{}
-	out.PublisherHosts, out.NetworksByHost = p.Reverse()
-	if len(out.PublisherHosts) == 0 {
-		return nil, Errorf("seed reversal found no publishers")
-	}
-	sessions, err := p.CrawlContext(ctx, out.NetworksByHost)
-	if err != nil {
-		return nil, err
-	}
-	out.Sessions = sessions
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	disc, err := p.Discover(out.Sessions)
-	if err != nil {
-		return nil, err
-	}
-	out.Discovery = disc
-	out.Attributions = p.Attribute(out.Sessions)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sources, milking, err := p.MilkContext(ctx, out.Sessions, disc)
-	if err != nil {
-		return nil, err
-	}
-	out.Sources = sources
-	out.Milking = milking
-	return out, nil
 }

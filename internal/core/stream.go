@@ -43,20 +43,21 @@ type StreamOptions struct {
 // appended to the incremental campaign store — while later sessions are
 // still crawling. Per-session results are committed in task order (the
 // same buffered-commit pattern as the milking scheduler), so the final
-// RunResult and report JSON are byte-identical to the phased path at
-// any worker count.
+// RunResult and report JSON are byte-identical to calling the stages
+// one by one (Reverse, Crawl, Discover, Attribute, Milk) at any worker
+// count.
 //
 // What overlaps and what cannot: discovery appends, attribution and
 // backtracking-graph construction are pure functions of each session,
 // so they run under the crawl. Milking-source *verification* probes the
 // synthetic web, and a TDS probe mints rotation-epoch attack domains
 // into the world's ground-truth recorder — probing mid-crawl (earlier
-// virtual instants, or candidates a phased run would never probe) would
-// perturb the GSB timeline and the report. Verification therefore
-// starts exactly at stream close, at the same virtual instant and over
-// the same candidate list as the phased path, but reuses the graphs the
-// stream already built, so extraction itself pays no FromEvents
-// rebuilds.
+// virtual instants, or candidates a stage-by-stage run would never
+// probe) would perturb the GSB timeline and the report. Verification
+// therefore starts exactly at stream close, at the same virtual instant
+// and over the same candidate list as the per-stage Milk, but reuses
+// the graphs the stream already built, so extraction itself pays no
+// FromEvents rebuilds.
 func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResult, error) {
 	emit := func(ev ProgressEvent) {
 		if opts.OnProgress != nil {
@@ -121,12 +122,12 @@ type streamCoordinator struct {
 	tracker  *obs.StageTracker
 	patterns *urlx.PatternSet
 
-	// Discovery state, mirroring the phased Discover defaults.
+	// Discovery state, mirroring Pipeline.Discover's defaults.
 	params DiscoveryParams
-	store  *campstore.Store // nil: incremental off or declined up front
+	store  *campstore.Store // nil: declined up front
 	// streamOK stays true while every per-session append succeeded; a
 	// failed append flips it and finishDiscovery falls back to batch
-	// clustering (the phased path's behaviour on AppendBatch error).
+	// clustering (Discover's behaviour on AppendBatch error).
 	streamOK bool
 	collect  *obsCollector
 	batch    campstore.BatchResult // summed over per-session appends
@@ -148,9 +149,6 @@ func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent)) *streamCoordin
 	if params.Store == nil {
 		params.Store = p.Cfg.Campaigns
 	}
-	if p.Cfg.DisableIncremental {
-		params.DisableIncremental = true
-	}
 	sc := &streamCoordinator{
 		p:        p,
 		emit:     emit,
@@ -160,18 +158,16 @@ func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent)) *streamCoordin
 		collect:  newObsCollector(),
 		graphs:   map[int]*btgraph.Graph{},
 	}
-	if !params.DisableIncremental {
-		st := params.Store
-		if st == nil {
-			st = campstore.New(campstore.Config{Params: params.Cluster, Obs: params.Obs})
-		}
-		// Mirror the phased path's up-front decline: a shared store
-		// clustering under different parameters takes no appends, and the
-		// run batch-clusters instead.
-		if st.Params() == params.Cluster {
-			sc.store = st
-			sc.streamOK = true
-		}
+	st := params.Store
+	if st == nil {
+		st = campstore.New(campstore.Config{Params: params.Cluster, Obs: params.Obs})
+	}
+	// Mirror Discover's up-front decline: a shared store clustering
+	// under different parameters takes no appends, and the run
+	// batch-clusters instead.
+	if st.Params() == params.Cluster {
+		sc.store = st
+		sc.streamOK = true
 	}
 	return sc
 }
@@ -262,7 +258,7 @@ func (sc *streamCoordinator) commitSession(w sessionWork) {
 	events := sc.collect.addSession(w.idx, w.s)
 	if sc.store != nil && sc.streamOK && len(events) > 0 {
 		// Committing per-session event batches in task order reproduces
-		// exactly the single batch the phased path appends: the store
+		// exactly the single batch Discover appends: the store
 		// log, labels and snapshots end up identical.
 		br, err := sc.store.AppendBatch(events)
 		if err != nil {
@@ -280,8 +276,8 @@ func (sc *streamCoordinator) commitSession(w sessionWork) {
 // finishDiscovery runs the θc triage tail once the stream is closed.
 // The incremental labels (when the stream appends all succeeded and the
 // store's crawl view matches this run's observation sequence) feed the
-// same assembleDiscovery tail as the phased path; otherwise the run
-// batch-clusters the accumulated observations, mirroring the phased
+// same assembleDiscovery tail as Discover; otherwise the run
+// batch-clusters the accumulated observations, mirroring Discover's
 // fallback exactly.
 func (sc *streamCoordinator) finishDiscovery() (*DiscoveryResult, error) {
 	defer sc.p.Cfg.Obs.StartSpan("discover").End()
@@ -308,7 +304,7 @@ func (sc *streamCoordinator) finishDiscovery() (*DiscoveryResult, error) {
 	}
 	if !derived {
 		store = nil
-		if !params.DisableIncremental && params.Store != nil {
+		if params.Store != nil {
 			params.Obs.Counter("discovery_incremental_fallback_total").Inc()
 		}
 		r, err := clusterBatch(obs, params)

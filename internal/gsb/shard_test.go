@@ -14,7 +14,7 @@ import (
 // many goroutines — observations and lookups interleaved on overlapping
 // domains — and checks that every domain ends with the same detection
 // fate a serial blacklist assigns. Run under -race this is the shard
-// index's safety contract for the pipelined milker (probe-side mints
+// index's safety contract for the milker's probe fan-out (probe-side mints
 // observing domains while the poll fan-out looks others up).
 func TestConcurrentObserveAndLookup(t *testing.T) {
 	const domains = 200

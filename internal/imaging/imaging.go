@@ -162,6 +162,29 @@ func clampByte(v int) byte {
 	return byte(v)
 }
 
+// clampLUT5 is the amp=2 clamp table: clampLUT5[v+d+2] = clampByte(v+d)
+// for channel value v in [0,255] and delta d in [-2,2].
+var clampLUT5 = func() (t [260]byte) {
+	for i := range t {
+		t[i] = clampByte(i - 2)
+	}
+	return
+}()
+
+// ClampLUT5 exposes the amp=2 add-clamp table for fused kernels:
+// t[v + delta + 2] = clampByte(v + delta).
+func ClampLUT5() *[260]byte { return &clampLUT5 }
+
+// AddClampLUT builds the add-clamp table for an arbitrary amplitude:
+// t[v + delta + amp] = clampByte(v + delta) for delta in [-amp, amp].
+func AddClampLUT(amp int) []byte {
+	t := make([]byte, 256+2*amp)
+	for i := range t {
+		t[i] = clampByte(i - amp)
+	}
+	return t
+}
+
 // NoisyGrayInto writes into dst (length W*H) the Rec.601 luminance the
 // image would have after Noise(amp, seed), without mutating the pixel
 // data: the per-seed noise stream is applied to each channel during the
@@ -213,76 +236,6 @@ func (im *Image) noisyGrayMod5(dst []byte, seed uint64) []byte {
 		dst[p] = byte((299*ch[0] + 587*ch[1] + 114*ch[2]) / 1000)
 	}
 	return dst
-}
-
-// NoisyGrayIntoCached is NoisyGrayInto with a noise-plane cache: when
-// the (seed, amp) delta plane for this raster size is cached, the
-// xorshift stream is replaced by plane reads; on an admitted miss the
-// plane is built, used and published; otherwise it falls through to the
-// inline NoisyGrayInto. Works for any amplitude the plane encoding
-// supports (amp <= PlaneMaxAmp), so non-default NoiseAmp values share
-// the same fast path instead of silently dropping to the naive loop.
-// Output is bit-identical to NoisyGrayInto for every (amp, seed, nc).
-func (im *Image) NoisyGrayIntoCached(dst []byte, amp int, seed uint64, nc *NoiseCache) []byte {
-	if amp <= 0 {
-		return im.NoisyGrayInto(dst, amp, seed)
-	}
-	n := im.W * im.H
-	plane, build := nc.Lookup(seed, n, amp)
-	if plane == nil && build {
-		plane = BuildPlane(seed, n, amp)
-		nc.Store(seed, n, amp, plane)
-	}
-	if plane != nil {
-		return im.noisyGrayPlane(dst, plane, amp)
-	}
-	return im.NoisyGrayInto(dst, amp, seed)
-}
-
-// noisyGrayPlane is NoisyGrayInto with the noise stream replayed from a
-// precomputed delta plane.
-func (im *Image) noisyGrayPlane(dst []byte, plane []int8, amp int) []byte {
-	lut := clampLUT5[:]
-	if amp != 2 {
-		lut = AddClampLUT(amp)
-	}
-	for p, i := 0, 0; p < len(dst); p, i = p+1, i+4 {
-		q := 3 * p
-		r := int(lut[int(im.Pix[i])+int(plane[q])+amp])
-		g := int(lut[int(im.Pix[i+1])+int(plane[q+1])+amp])
-		b := int(lut[int(im.Pix[i+2])+int(plane[q+2])+amp])
-		dst[p] = byte((299*r + 587*g + 114*b) / 1000)
-	}
-	return dst
-}
-
-// NoiseCached is Noise with a noise-plane cache: cached (or admitted)
-// delta planes replace the xorshift stream, uncached seeds fall through
-// to the inline Noise. Pixel output is bit-identical to Noise.
-func (im *Image) NoiseCached(amp int, seed uint64, nc *NoiseCache) {
-	if amp <= 0 {
-		return
-	}
-	n := im.W * im.H
-	plane, build := nc.Lookup(seed, n, amp)
-	if plane == nil && build {
-		plane = BuildPlane(seed, n, amp)
-		nc.Store(seed, n, amp, plane)
-	}
-	if plane == nil {
-		im.Noise(amp, seed)
-		return
-	}
-	lut := clampLUT5[:]
-	if amp != 2 {
-		lut = AddClampLUT(amp)
-	}
-	for p, i := 0, 0; i+3 < len(im.Pix); p, i = p+1, i+4 {
-		q := 3 * p
-		im.Pix[i] = lut[int(im.Pix[i])+int(plane[q])+amp]
-		im.Pix[i+1] = lut[int(im.Pix[i+1])+int(plane[q+1])+amp]
-		im.Pix[i+2] = lut[int(im.Pix[i+2])+int(plane[q+2])+amp]
-	}
 }
 
 // Grayscale returns a luminance view of the image as a W*H byte slice

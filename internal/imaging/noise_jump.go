@@ -18,8 +18,8 @@ type NoiseJump struct {
 	tab [8][256]uint64
 }
 
-// noiseStep is the single xorshift step shared by Noise, NoisyGrayInto
-// and BuildPlane.
+// noiseStep is the single xorshift step shared by Noise and
+// NoisyGrayInto.
 func noiseStep(s uint64) uint64 {
 	s ^= s << 13
 	s ^= s >> 7

@@ -9,22 +9,12 @@ import "repro/internal/imaging"
 // box-filter accumulations are fused into a single pass over Pix. This
 // is the hashing half of the capture fast path.
 func DHashNoisy(im *imaging.Image, amp int, seed uint64) Hash {
-	return DHashNoisyCached(im, amp, seed, nil)
-}
-
-// DHashNoisyCached is DHashNoisy backed by a noise-plane cache: when
-// the (seed, amp) delta plane for this raster is cached, the serial
-// xorshift recurrence — the kernel's latency floor — is replaced by
-// plane reads; an admitted miss builds and publishes the plane; any
-// other miss runs the inline fused kernel. Results are bit-identical
-// for every cache state (nil included).
-func DHashNoisyCached(im *imaging.Image, amp int, seed uint64, nc *imaging.NoiseCache) Hash {
 	w, h := im.W, im.H
 	if w < 9 || h < 9 {
 		// Tiny rasters upscale, where box-filter cells overlap; fall back
 		// to the reference resampler rather than replicating its clamping.
 		gray := imaging.GetGray(w * h)
-		im.NoisyGrayIntoCached(gray, amp, seed, nc)
+		im.NoisyGrayInto(gray, amp, seed)
 		out := gridsToHash(
 			imaging.ResizeGrayFrom(gray, w, h, 9, 8),
 			imaging.ResizeGrayFrom(gray, w, h, 8, 9))
@@ -33,19 +23,6 @@ func DHashNoisyCached(im *imaging.Image, amp int, seed uint64, nc *imaging.Noise
 	}
 	if amp <= 0 {
 		return dualGridPlain(im.Pix, w, h)
-	}
-	plane, build := nc.Lookup(seed, w*h, amp)
-	if plane == nil && build {
-		// Second sighting of this noise stream: materialise the plane
-		// (one extra pass, amortised by every later hit) and hash from it.
-		plane = imaging.BuildPlane(seed, w*h, amp)
-		nc.Store(seed, w*h, amp, plane)
-	}
-	if plane != nil {
-		if amp == 2 {
-			return dualGridPlane5(im.Pix, w, h, plane)
-		}
-		return dualGridPlaneAmp(im.Pix, w, h, plane, amp)
 	}
 	if amp == 2 {
 		return dualGridMod5(im.Pix, w, h, seed)
@@ -276,84 +253,6 @@ func dualGridMod5(pix []byte, w, h int, seed uint64) Hash {
 			vsum[vbase+sg.vc] += sum
 		}
 		sRow = s
-	}
-	return gridsFromSums(&hsum, &vsum, w, h)
-}
-
-// dualGridPlane5 is the amp=2 kernel replaying a cached delta plane:
-// no xorshift recurrence, just loads — the plane-cache hit path.
-func dualGridPlane5(pix []byte, w, h int, plane []int8) Hash {
-	lut := *imaging.ClampLUT5()
-	var segs [17]colSeg
-	nseg := colSegments(w, &segs)
-	var hsum, vsum [72]int64
-	hr, vr := 0, 0
-	hrNext, vrNext := h/8, h/9
-	i, q := 0, 0
-	for y := 0; y < h; y++ {
-		if y == hrNext {
-			hr++
-			hrNext = (hr + 1) * h / 8
-		}
-		if y == vrNext {
-			vr++
-			vrNext = (vr + 1) * h / 9
-		}
-		hbase, vbase := hr*9, vr*8
-		for k := 0; k < nseg; k++ {
-			sg := segs[k]
-			var sum int64
-			for x := sg.x0; x < sg.x1; x++ {
-				r := int(lut[int(pix[i])+int(plane[q])+2])
-				g := int(lut[int(pix[i+1])+int(plane[q+1])+2])
-				b := int(lut[int(pix[i+2])+int(plane[q+2])+2])
-				sum += int64((299*r + 587*g + 114*b) / 1000)
-				i += 4
-				q += 3
-			}
-			hsum[hbase+sg.hc] += sum
-			vsum[vbase+sg.vc] += sum
-		}
-	}
-	return gridsFromSums(&hsum, &vsum, w, h)
-}
-
-// dualGridPlaneAmp replays a cached delta plane at an arbitrary
-// amplitude (satellite of the amp=2 fast path: non-default NoiseAmp
-// values stay on the cached kernel instead of dropping to the naive
-// two-pass path).
-func dualGridPlaneAmp(pix []byte, w, h int, plane []int8, amp int) Hash {
-	lut := imaging.AddClampLUT(amp)
-	var segs [17]colSeg
-	nseg := colSegments(w, &segs)
-	var hsum, vsum [72]int64
-	hr, vr := 0, 0
-	hrNext, vrNext := h/8, h/9
-	i, q := 0, 0
-	for y := 0; y < h; y++ {
-		if y == hrNext {
-			hr++
-			hrNext = (hr + 1) * h / 8
-		}
-		if y == vrNext {
-			vr++
-			vrNext = (vr + 1) * h / 9
-		}
-		hbase, vbase := hr*9, vr*8
-		for k := 0; k < nseg; k++ {
-			sg := segs[k]
-			var sum int64
-			for x := sg.x0; x < sg.x1; x++ {
-				r := int(lut[int(pix[i])+int(plane[q])+amp])
-				g := int(lut[int(pix[i+1])+int(plane[q+1])+amp])
-				b := int(lut[int(pix[i+2])+int(plane[q+2])+amp])
-				sum += int64((299*r + 587*g + 114*b) / 1000)
-				i += 4
-				q += 3
-			}
-			hsum[hbase+sg.hc] += sum
-			vsum[vbase+sg.vc] += sum
-		}
 	}
 	return gridsFromSums(&hsum, &vsum, w, h)
 }

@@ -68,36 +68,10 @@ func naiveHash(img *imaging.Image, amp int, seed uint64) Hash {
 	return DHash(n)
 }
 
-// TestDHashNoisyCachedMatchesNaive walks every plane-cache state — cold
-// miss (inline kernel), admitted miss (build + hash from fresh plane),
-// hit (replay cached plane) — and demands the same hash as the naive
-// path each round, for the renderer's amp=2 and the generic-amp kernels.
-func TestDHashNoisyCachedMatchesNaive(t *testing.T) {
-	sizes := [][2]int{{256, 192}, {64, 48}, {37, 23}, {9, 9}, {8, 8}, {5, 17}}
-	for _, sz := range sizes {
-		for _, amp := range []int{1, 2, 6} {
-			nc := imaging.NewNoiseCache(0)
-			for _, seed := range []uint64{0, 7, 1<<40 + 3} {
-				img := randomImage(sz[0], sz[1], seed^uint64(31*sz[0]+sz[1]))
-				want := naiveHash(img, amp, seed)
-				for round := 0; round < 3; round++ {
-					if got := DHashNoisyCached(img, amp, seed, nc); got != want {
-						t.Fatalf("size=%dx%d amp=%d seed=%d round=%d: %v != %v",
-							sz[0], sz[1], amp, seed, round, got, want)
-					}
-				}
-			}
-			if hits, _, _, _ := nc.Stats(); hits == 0 && sz[0] >= 9 && sz[1] >= 9 {
-				t.Fatalf("size=%dx%d amp=%d: expected plane hits by round three", sz[0], sz[1], amp)
-			}
-		}
-	}
-}
-
 // TestDHashNoisyClampEdges pins the branchless clamp: images saturated
 // near both channel extremes (0..4 and 251..255), where every delta in
 // [-amp, amp] straddles a clamp boundary, must hash identically to the
-// naive clampByte path on all kernel variants.
+// naive clampByte path on every kernel variant.
 func TestDHashNoisyClampEdges(t *testing.T) {
 	for _, base := range []int{0, 1, 2, 3, 4, 251, 252, 253, 254, 255} {
 		for _, amp := range []int{1, 2, 4, 7} {
@@ -113,20 +87,14 @@ func TestDHashNoisyClampEdges(t *testing.T) {
 			seed := uint64(1000*base + amp)
 			want := naiveHash(img, amp, seed)
 			if got := DHashNoisy(img, amp, seed); got != want {
-				t.Fatalf("inline base=%d amp=%d: %v != %v", base, amp, got, want)
-			}
-			nc := imaging.NewNoiseCache(0)
-			DHashNoisyCached(img, amp, seed, nc)
-			DHashNoisyCached(img, amp, seed, nc)
-			if got := DHashNoisyCached(img, amp, seed, nc); got != want {
-				t.Fatalf("plane base=%d amp=%d: %v != %v", base, amp, got, want)
+				t.Fatalf("base=%d amp=%d: %v != %v", base, amp, got, want)
 			}
 		}
 	}
 }
 
 // TestDHashNoisyRandomizedProperty sweeps pseudo-random dimensions,
-// amplitudes and seeds through both the cached and uncached fused paths.
+// amplitudes and seeds through the fused kernels.
 func TestDHashNoisyRandomizedProperty(t *testing.T) {
 	s := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {
@@ -135,7 +103,6 @@ func TestDHashNoisyRandomizedProperty(t *testing.T) {
 		s ^= s << 17
 		return int(s % uint64(n))
 	}
-	nc := imaging.NewNoiseCache(0)
 	for trial := 0; trial < 60; trial++ {
 		w, h := 1+next(300), 1+next(200)
 		amp := next(9)
@@ -143,13 +110,7 @@ func TestDHashNoisyRandomizedProperty(t *testing.T) {
 		img := randomImage(w, h, seed)
 		want := naiveHash(img, amp, seed)
 		if got := DHashNoisy(img, amp, seed); got != want {
-			t.Fatalf("trial %d (%dx%d amp=%d): inline %v != naive %v", trial, w, h, amp, got, want)
-		}
-		for round := 0; round < 3; round++ {
-			if got := DHashNoisyCached(img, amp, seed, nc); got != want {
-				t.Fatalf("trial %d (%dx%d amp=%d) round %d: cached %v != naive %v",
-					trial, w, h, amp, round, got, want)
-			}
+			t.Fatalf("trial %d (%dx%d amp=%d): fused %v != naive %v", trial, w, h, amp, got, want)
 		}
 	}
 }
@@ -168,13 +129,6 @@ func FuzzDHashNoisyFused(f *testing.F) {
 		want := naiveHash(img, amp, seed)
 		if got := DHashNoisy(img, amp, seed); got != want {
 			t.Fatalf("%dx%d amp=%d seed=%d: fused %v != naive %v", w, h, amp, seed, got, want)
-		}
-		nc := imaging.NewNoiseCache(0)
-		for round := 0; round < 3; round++ {
-			if got := DHashNoisyCached(img, amp, seed, nc); got != want {
-				t.Fatalf("%dx%d amp=%d seed=%d round=%d: cached %v != naive %v",
-					w, h, amp, seed, round, got, want)
-			}
 		}
 	})
 }

@@ -56,30 +56,20 @@ type Cache struct {
 	paints map[Fingerprint][]paint
 	paintQ fifo[Fingerprint]
 
-	// noise is the shared noise-plane cache behind the fused hash
-	// kernel; nil (after DisableNoisePlanes) keeps every capture on the
-	// inline kernel. Reads are taken under mu alongside the first hash
-	// lookup, so disabling is safe at any point.
-	noise *imaging.NoiseCache
-
 	maxHashes, maxImages, maxPaints int
 
 	hits, misses, evictions atomic.Int64
 
 	// Pre-resolved obs handles; all nil (no-op) without a registry.
-	obsHits, obsMisses, obsEvictions             *obs.Counter
-	obsEntries, obsPoolInUse                     *obs.Gauge
-	obsPoolPeak                                  *obs.Gauge
-	obsPoolGets, obsPoolReuses                   *obs.Gauge
-	obsPlaneHits, obsPlaneMisses, obsPlaneEvicts *obs.Counter
-	obsPlaneBytes, obsPlaneBytesPeak             *obs.Gauge
-	obsPlaneEntries                              *obs.Gauge
-	obsRngMemoHits                               *obs.Counter
+	obsHits, obsMisses, obsEvictions *obs.Counter
+	obsEntries, obsPoolInUse         *obs.Gauge
+	obsPoolPeak                      *obs.Gauge
+	obsPoolGets, obsPoolReuses       *obs.Gauge
+	obsRngMemoHits                   *obs.Counter
 
-	// Last-exported cumulative values, so the monotonic counters above
-	// receive deltas (the plane cache and rng memo report totals).
-	expPlaneHits, expPlaneMisses, expPlaneEvicts atomic.Int64
-	expRngMemoHits                               atomic.Int64
+	// Last-exported cumulative rng memo hits, so the monotonic counter
+	// above receives deltas (the memo reports totals).
+	expRngMemoHits atomic.Int64
 }
 
 // fifo is a slice-backed queue with amortised O(1) pops.
@@ -130,50 +120,20 @@ func NewCache(maxEntries int, reg *obs.Registry) *Cache {
 		hashes:    map[captureKey]phash.Hash{},
 		images:    map[captureKey]*imaging.Image{},
 		paints:    map[Fingerprint][]paint{},
-		noise:     imaging.NewNoiseCache(0),
 		maxHashes: maxEntries,
 		maxImages: maxImages,
 		maxPaints: maxPaints,
 
-		obsHits:           reg.Counter("capture_cache_hits_total"),
-		obsMisses:         reg.Counter("capture_cache_misses_total"),
-		obsEvictions:      reg.Counter("capture_cache_evictions_total"),
-		obsEntries:        reg.Gauge("capture_cache_entries"),
-		obsPoolInUse:      reg.Gauge("capture_pool_in_use_bytes"),
-		obsPoolPeak:       reg.Gauge("capture_pool_peak_bytes"),
-		obsPoolGets:       reg.Gauge("capture_pool_gets"),
-		obsPoolReuses:     reg.Gauge("capture_pool_reuses"),
-		obsPlaneHits:      reg.Counter("noise_plane_hits_total"),
-		obsPlaneMisses:    reg.Counter("noise_plane_misses_total"),
-		obsPlaneEvicts:    reg.Counter("noise_plane_evictions_total"),
-		obsPlaneBytes:     reg.Gauge("noise_plane_bytes"),
-		obsPlaneBytesPeak: reg.Gauge("noise_plane_bytes_peak"),
-		obsPlaneEntries:   reg.Gauge("noise_plane_entries"),
-		obsRngMemoHits:    reg.Counter("rng_seed_memo_hits_total"),
+		obsHits:        reg.Counter("capture_cache_hits_total"),
+		obsMisses:      reg.Counter("capture_cache_misses_total"),
+		obsEvictions:   reg.Counter("capture_cache_evictions_total"),
+		obsEntries:     reg.Gauge("capture_cache_entries"),
+		obsPoolInUse:   reg.Gauge("capture_pool_in_use_bytes"),
+		obsPoolPeak:    reg.Gauge("capture_pool_peak_bytes"),
+		obsPoolGets:    reg.Gauge("capture_pool_gets"),
+		obsPoolReuses:  reg.Gauge("capture_pool_reuses"),
+		obsRngMemoHits: reg.Counter("rng_seed_memo_hits_total"),
 	}
-}
-
-// DisableNoisePlanes drops the noise-plane cache, pinning every capture
-// to the inline fused kernel. Used by the determinism suite to A/B the
-// plane path against the inline path; results are bit-identical either
-// way.
-func (c *Cache) DisableNoisePlanes() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.noise = nil
-	c.mu.Unlock()
-}
-
-// NoisePlanes exposes the cache's plane store (nil when disabled).
-func (c *Cache) NoisePlanes() *imaging.NoiseCache {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.noise
 }
 
 // Stats reports cumulative cache traffic (hash and image lookups
@@ -233,7 +193,6 @@ func (c *Cache) Hash(doc *dom.Document, opts Options) phash.Hash {
 		return h
 	}
 	paints, havePaints := c.paints[fp]
-	nc := c.noise
 	c.mu.Unlock()
 
 	c.misses.Add(1)
@@ -245,7 +204,7 @@ func (c *Cache) Hash(doc *dom.Document, opts Options) phash.Hash {
 	if doc != nil && doc.Root != nil {
 		renderPaints(img, doc, paints)
 	}
-	h := phash.DHashNoisyCached(img, opts.NoiseAmp, opts.NoiseSeed, nc)
+	h := phash.DHashNoisy(img, opts.NoiseAmp, opts.NoiseSeed)
 	img.Release()
 
 	c.mu.Lock()
@@ -277,7 +236,6 @@ func (c *Cache) Image(doc *dom.Document, opts Options) *imaging.Image {
 		return out
 	}
 	paints, havePaints := c.paints[fp]
-	nc := c.noise
 	c.mu.Unlock()
 
 	c.misses.Add(1)
@@ -289,9 +247,7 @@ func (c *Cache) Image(doc *dom.Document, opts Options) *imaging.Image {
 	if doc != nil && doc.Root != nil {
 		renderPaints(img, doc, paints)
 	}
-	if opts.NoiseAmp > 0 {
-		img.NoiseCached(opts.NoiseAmp, opts.NoiseSeed, nc)
-	}
+	img.Noise(opts.NoiseAmp, opts.NoiseSeed)
 
 	c.mu.Lock()
 	c.storeImage(key, img)
@@ -363,10 +319,8 @@ func (c *Cache) storePaints(fp Fingerprint, paints []paint) {
 }
 
 // exportKernelStats publishes the fast-path gauges and counters that
-// back the capture kernel: imaging buffer pools, the noise-plane cache
-// (delta-fed counters plus byte-size gauges with a high-watermark) and
-// the rng seed memo. Called on misses (the only operations that touch
-// any of them).
+// back the capture kernel: imaging buffer pools and the rng seed memo.
+// Called on misses (the only operations that touch either).
 func (c *Cache) exportKernelStats() {
 	if c.obsPoolInUse == nil && c.obsPoolPeak == nil {
 		return
@@ -376,14 +330,6 @@ func (c *Cache) exportKernelStats() {
 	c.obsPoolPeak.SetMax(inUse)
 	c.obsPoolGets.Set(gets)
 	c.obsPoolReuses.Set(reuses)
-
-	hits, misses, evicts, _ := c.NoisePlanes().Stats()
-	c.obsPlaneHits.Add(hits - c.expPlaneHits.Swap(hits))
-	c.obsPlaneMisses.Add(misses - c.expPlaneMisses.Swap(misses))
-	c.obsPlaneEvicts.Add(evicts - c.expPlaneEvicts.Swap(evicts))
-	c.obsPlaneBytes.Set(c.NoisePlanes().Bytes())
-	c.obsPlaneBytesPeak.SetMax(c.NoisePlanes().BytesPeak())
-	c.obsPlaneEntries.Set(int64(c.NoisePlanes().Entries()))
 
 	memoHits, _, _, _ := rng.MemoStats()
 	c.obsRngMemoHits.Add(memoHits - c.expRngMemoHits.Swap(memoHits))

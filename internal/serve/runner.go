@@ -177,7 +177,7 @@ func SpecExperimentConfig(spec JobSpec) seacma.ExperimentConfig {
 // Run executes one job against the shared pipeline context. It is the
 // store's production Runner. Jobs run through the streaming pipeline,
 // so onEvent carries per-session crawl progress alongside the phase
-// transitions (the report stays byte-identical to the phased path).
+// transitions.
 func (o *PipelineOwner) Run(ctx context.Context, spec JobSpec, onEvent func(JobEvent)) (*JobResult, error) {
 	cfg := SpecExperimentConfig(spec)
 	cfg.Obs = o.Obs

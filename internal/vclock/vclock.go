@@ -218,7 +218,7 @@ func (c *Clock) finishAdvance(t time.Time) {
 // group, and events scheduled by flush itself are picked up by the
 // loop. A nil coalesce never groups (flush after every instant).
 //
-// The milking engine drives its pipelined scheduler with this: timer
+// The milking engine drives its scheduler with this: timer
 // callbacks only record what is due, coalesce fuses consecutive
 // milking ticks that no blacklist-poll instant separates, and flush
 // fans the recorded ticks out to the worker pool.

@@ -101,15 +101,6 @@ type ExperimentConfig struct {
 	// run-private store, reachable afterwards via
 	// Result.Discovery.Store.
 	Campaigns *campstore.Store
-	// DisableIncremental pins discovery to the legacy batch clustering
-	// (reports are byte-identical either way — the knob exists for A/B
-	// verification).
-	DisableIncremental bool
-	// DisableStreaming pins the run to the legacy phased execution
-	// (five serial stages) instead of the streaming coordinator that
-	// overlaps crawl, discovery and attribution. Reports are
-	// byte-identical either way — the knob exists for A/B verification.
-	DisableStreaming bool
 }
 
 // DefaultExperimentConfig is the 1/8-scale default world with the
@@ -159,17 +150,15 @@ func NewExperiment(cfg ExperimentConfig) *Experiment {
 	cfg.Obs.SetVirtualNow(w.Clock.Now)
 	w.Internet.SetObs(cfg.Obs)
 	p := core.NewPipeline(core.PipelineConfig{
-		Seeds:              SeedsFromSpecs(w),
-		Crawler:            cfg.Crawler,
-		Discovery:          cfg.Discovery,
-		Milker:             cfg.Milker,
-		MaxPublishers:      cfg.MaxPublishers,
-		Obs:                cfg.Obs,
-		Capture:            cfg.Capture,
-		Scripts:            cfg.Scripts,
-		Campaigns:          cfg.Campaigns,
-		DisableIncremental: cfg.DisableIncremental,
-		DisableStreaming:   cfg.DisableStreaming,
+		Seeds:         SeedsFromSpecs(w),
+		Crawler:       cfg.Crawler,
+		Discovery:     cfg.Discovery,
+		Milker:        cfg.Milker,
+		MaxPublishers: cfg.MaxPublishers,
+		Obs:           cfg.Obs,
+		Capture:       cfg.Capture,
+		Scripts:       cfg.Scripts,
+		Campaigns:     cfg.Campaigns,
 	}, w.Internet, w.Clock, w.Search, w.GSB, w.VT, w.Webcat)
 	return &Experiment{Cfg: cfg, World: w, Pipeline: p}
 }
@@ -201,11 +190,9 @@ type Result struct {
 	exp *Experiment
 }
 
-// Run executes the full pipeline. With SkipMilking the milking stage is
-// omitted and Milking stays nil. The streaming coordinator is the
-// default execution (crawl, discovery and attribution overlap); set
-// DisableStreaming for the legacy phased path — results are
-// byte-identical either way.
+// Run executes the full pipeline through the streaming coordinator
+// (crawl, discovery and attribution overlap). With SkipMilking the
+// milking stage is omitted and Milking stays nil.
 func (e *Experiment) Run() (*Result, error) {
 	return e.RunStream(context.Background(), nil)
 }
@@ -216,18 +203,13 @@ type ProgressEvent = core.ProgressEvent
 
 // RunStream executes the pipeline under ctx through the streaming
 // coordinator, invoking onProgress (when non-nil) on every phase
-// transition and per-session commit. With DisableStreaming set it runs
-// the phased path instead, forwarding phase transitions only. Phase
-// names match the obs span names; cancellation semantics are the same
-// as RunPhased.
+// transition and per-session commit. Phase names match the obs span
+// names — reverse, crawl, discover, attribute, milk — so a progress
+// consumer (the seacma-serve job engine) can correlate them with the
+// span log. Cancellation is observed in the crawl session feed, between
+// stages and at every milking virtual tick; a cancelled run returns
+// ctx.Err() and no Result.
 func (e *Experiment) RunStream(ctx context.Context, onProgress func(ProgressEvent)) (*Result, error) {
-	if e.Cfg.DisableStreaming {
-		var onPhase func(string)
-		if onProgress != nil {
-			onPhase = func(name string) { onProgress(ProgressEvent{Phase: name}) }
-		}
-		return e.RunPhased(ctx, onPhase)
-	}
 	res, err := e.Pipeline.RunStream(ctx, core.StreamOptions{
 		SkipMilking: e.Cfg.SkipMilking,
 		OnProgress:  onProgress,
@@ -236,55 +218,6 @@ func (e *Experiment) RunStream(ctx context.Context, onProgress func(ProgressEven
 		return nil, err
 	}
 	return &Result{RunResult: res, exp: e}, nil
-}
-
-// RunPhased executes the pipeline under ctx with the legacy five-stage
-// serial schedule, invoking onPhase (when non-nil) as each Figure-2
-// stage begins. The phase names match the obs span names — reverse,
-// crawl, discover, attribute, milk — so a progress consumer (the
-// seacma-serve job engine) can correlate them with the span log.
-// Cancellation is observed between stages, in the crawl session feed
-// and at every milking virtual tick; a cancelled run returns ctx.Err()
-// and no Result.
-func (e *Experiment) RunPhased(ctx context.Context, onPhase func(phase string)) (*Result, error) {
-	phase := func(name string) {
-		if onPhase != nil {
-			onPhase(name)
-		}
-	}
-	out := &core.RunResult{}
-	phase("reverse")
-	out.PublisherHosts, out.NetworksByHost = e.Pipeline.Reverse()
-	if len(out.PublisherHosts) == 0 {
-		return nil, core.Errorf("seed reversal found no publishers")
-	}
-	phase("crawl")
-	sessions, err := e.Pipeline.CrawlContext(ctx, out.NetworksByHost)
-	if err != nil {
-		return nil, err
-	}
-	out.Sessions = sessions
-	phase("discover")
-	disc, err := e.Pipeline.Discover(out.Sessions)
-	if err != nil {
-		return nil, err
-	}
-	out.Discovery = disc
-	phase("attribute")
-	out.Attributions = e.Pipeline.Attribute(out.Sessions)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !e.Cfg.SkipMilking {
-		phase("milk")
-		sources, milking, err := e.Pipeline.MilkContext(ctx, out.Sessions, disc)
-		if err != nil {
-			return nil, err
-		}
-		out.Sources = sources
-		out.Milking = milking
-	}
-	return &Result{RunResult: out, exp: e}, nil
 }
 
 // Report assembles the full machine-readable report of the run — every
