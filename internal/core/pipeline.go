@@ -162,27 +162,9 @@ func (p *Pipeline) Reverse() (hosts []string, byHost map[string][]string) {
 
 // Crawl runs step ③ over the two IP-vantage groups.
 func (p *Pipeline) Crawl(byHost map[string][]string) []*crawler.Session {
-	sessions, _ := p.CrawlContext(context.Background(), byHost)
-	return sessions
-}
-
-// CrawlContext is Crawl with cancellation: no new session starts after
-// ctx is done, and ctx.Err() is returned with the sessions completed so
-// far (unstarted slots filtered out).
-func (p *Pipeline) CrawlContext(ctx context.Context, byHost map[string][]string) ([]*crawler.Session, error) {
 	defer p.Cfg.Obs.StartSpan("crawl").End()
 	farm, tasks := p.crawlFarm(byHost)
-	sessions, err := farm.CrawlAllContext(ctx, tasks)
-	if err != nil {
-		kept := sessions[:0]
-		for _, s := range sessions {
-			if s != nil {
-				kept = append(kept, s)
-			}
-		}
-		return kept, err
-	}
-	return sessions, nil
+	return farm.CrawlAll(tasks)
 }
 
 // crawlFarm builds the deterministic (task, UA) crawl plan and the farm,
