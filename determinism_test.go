@@ -82,9 +82,7 @@ func assertGolden(t *testing.T, label string, seed int64, report []byte) {
 // TestReportDeterministicAcrossWorkerCounts is the parallelism
 // contract: the same seed must produce the pinned report whether crawl
 // sessions, same-tick milking sessions and clustering neighbourhoods
-// are computed by one worker or eight. A run without the shared
-// ad-script program cache (a nil ProgramCache parses per run) must
-// reproduce it too.
+// are computed by one worker or eight.
 func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
@@ -94,8 +92,21 @@ func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
 			assertGolden(t, fmt.Sprintf("seed %d workers %d", seed, w), seed, reportBytes(t, seed, w, nil))
 		}
 	}
-	noScripts := reportBytes(t, 1, 4, func(exp *seacma.Experiment) { exp.Pipeline.Cfg.Scripts = nil })
-	assertGolden(t, "seed 1 workers 4 without a program cache", 1, noScripts)
+}
+
+// TestReportDeterministicWithScriptCacheOnOff is the behaviour-invariance
+// contract of the compile-once program cache at the system level: the
+// end-to-end report must be the pinned one whether ad scripts run as
+// shared cached Programs or are re-parsed for every execution (a nil
+// ProgramCache).
+func TestReportDeterministicWithScriptCacheOnOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline run")
+	}
+	cached := reportBytes(t, 1, 4, nil)
+	uncached := reportBytes(t, 1, 4, func(exp *seacma.Experiment) { exp.Pipeline.Cfg.Scripts = nil })
+	assertGolden(t, "seed 1 workers 4 with the program cache", 1, cached)
+	assertGolden(t, "seed 1 workers 4 without a program cache", 1, uncached)
 }
 
 // TestReportDeterministicAcrossOddWorkerCounts extends the contract to
