@@ -107,6 +107,8 @@ bench-baseline:
 # skipped on hosts with fewer than 4 CPUs — probes cannot run in
 # parallel without cores to run them on, so the ratio is meaningless
 # there.
+# The allocation guards (incremental append distance calls, cold
+# rng.Split bytes) count work, not time, so they run on any host.
 bench-check:
 	@test -f $(BENCH_BASELINE) || { echo "no $(BENCH_BASELINE); run make bench-baseline first"; exit 1; }
 	$(GO) test -run XXX -bench 'BenchmarkFigure2_PipelineEndToEnd$$' -benchtime 1x . | tee BENCH_check.txt
@@ -158,6 +160,14 @@ bench-check:
 	  printf "incremental append %s distance calls/tranche vs full rebuild %s (limit: 20%% of rebuild)\n", app, reb; \
 	  exit (app + 0 > reb * 0.2) ? 1 : 0 }' \
 	  || { echo "FAIL: incremental append pays >20% of a full rebuild's distance calls"; exit 1; }
+	@$(GO) test -run XXX -bench 'BenchmarkRngSplit_Cold$$' -benchtime 1000x -benchmem ./internal/rng/ | tee BENCH_rng.txt; \
+	bop=$$(awk '$$1 ~ /^BenchmarkRngSplit_Cold(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print $$i }' BENCH_rng.txt); \
+	rm -f BENCH_rng.txt; \
+	if [ -z "$$bop" ]; then echo "could not extract rng split B/op"; exit 1; fi; \
+	awk -v bop="$$bop" 'BEGIN { \
+	  printf "cold rng split %s B/op (limit 512 B/op)\n", bop; \
+	  exit (bop + 0 > 512) ? 1 : 0 }' \
+	  || { echo "FAIL: a cold rng.Split allocates >512 B — seeding is materializing math/rand state eagerly"; exit 1; }
 	@echo "bench-check OK"
 
 # Profile the milking stage (the pipeline's hot loop) and print where

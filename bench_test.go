@@ -436,6 +436,19 @@ func BenchmarkHashKernel_Fused(b *testing.B) {
 	}
 }
 
+// BenchmarkHashKernel_Fused256x192 runs the fused kernel at the size the
+// crawler and milker actually capture: their ViewportScale of 4 turns
+// the 1024×768 viewport into a 256×192 capture.
+func BenchmarkHashKernel_Fused256x192(b *testing.B) {
+	tmpl := secamp.NewTemplate(secamp.FakeSoftware, 0, rng.New(8))
+	img := screenshot.Render(tmpl.BuildDoc("http://x.club/l", 1), screenshot.Options{Width: 256, Height: 192})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = phash.DHashNoisy(img, 2, uint64(i)|1)
+	}
+}
+
 // benchScriptSource builds a representative obfuscated ad script — the
 // adnet serve-script shape: overlay install, dec() of an encoded click
 // URL, a byte-wise transform loop, closures registered and dispatched.

@@ -159,7 +159,7 @@ func (c *ProgramCache) Get(source string) (*Program, error) {
 	}
 	c.obsEntries.Set(int64(len(c.programs)))
 	c.mu.Unlock()
-	c.exportMemoStats()
+	c.exportDecodeMemo()
 	return prog, nil
 }
 
@@ -171,14 +171,14 @@ func (c *ProgramCache) Stats() (hits, misses, evictions int64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
-// exportMemoStats publishes the process-wide decode-memo gauges through
+// exportDecodeMemo publishes the process-wide decode-memo gauges through
 // this cache's registry. Called on misses (steady state is all hits, so
 // the gauges settle quickly and cheaply).
-func (c *ProgramCache) exportMemoStats() {
+func (c *ProgramCache) exportDecodeMemo() {
 	if c.obsMemoHits == nil && c.obsMemoEntries == nil {
 		return
 	}
-	hits, misses, entries := DecodeMemoStats()
+	hits, misses, entries := DecodeMemoTraffic()
 	c.obsMemoHits.Set(hits)
 	c.obsMemoMisses.Set(misses)
 	c.obsMemoEntries.Set(entries)
@@ -240,9 +240,9 @@ func decodeMemoized(enc string, key byte) (string, error) {
 	return out, nil
 }
 
-// DecodeMemoStats reports the process-wide decode-memo traffic and
+// DecodeMemoTraffic reports the process-wide decode-memo traffic and
 // current size.
-func DecodeMemoStats() (hits, misses, entries int64) {
+func DecodeMemoTraffic() (hits, misses, entries int64) {
 	decodeMu.Lock()
 	entries = int64(len(decodeMemo))
 	decodeMu.Unlock()

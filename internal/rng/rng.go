@@ -23,12 +23,12 @@ type Source struct {
 	seed int64
 }
 
-// New returns a Source seeded with the given seed. Seeding goes through
-// the process-wide seed memo (see memo.go): repeated seeds are served
-// from a cached generator snapshot instead of re-running math/rand's
-// 607-round seeding scramble, with a bit-identical stream either way.
+// New returns a Source seeded with the given seed. Its stream is
+// bit-identical to rand.New(rand.NewSource(seed)), but seeding is O(1):
+// the generator state is derived lazily from the seed (see source.go),
+// so a stream that draws a few values never pays math/rand's seeding.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(sourceFor(seed)), seed: seed}
+	return &Source{r: rand.New(newLazySource(seed)), seed: seed}
 }
 
 // Seed returns the seed this source was created with.
@@ -44,11 +44,9 @@ func (s *Source) Split(name string) *Source {
 // Keyed derives a child stream for the few draws of one keyed event — a
 // request served by the synthetic web. Like Split, the child is a
 // function of only (parent seed, name); unlike Split it runs on a
-// SplitMix64 generator instead of a freshly seeded math/rand table, so
-// a derivation costs a few small allocations rather than a 4.9 KB
-// seeding, and it bypasses the seed memo, which never-repeating
-// per-request keys would only churn. Its stream differs from Split's
-// for the same name.
+// SplitMix64 generator, so its stream differs from Split's for the same
+// name. Both seed in O(1); Keyed stays a separate generator because
+// the reports its callers produce are pinned by digest.
 func (s *Source) Keyed(name string) *Source {
 	seed := childSeed(s.seed, name)
 	return &Source{r: rand.New(&splitMix{state: uint64(seed)}), seed: seed}
@@ -197,9 +195,16 @@ func (s *Source) Weighted(weights []float64) int {
 }
 
 // Zipf returns a sampler of values in [0, n) following a Zipf distribution
-// with exponent sExp >= 1. Smaller indices are more likely, which models
-// popularity skew (publisher traffic, ad-network market share).
+// with exponent sExp > 1, n >= 1. Smaller indices are more likely, which
+// models popularity skew (publisher traffic, ad-network market share).
+// It panics outside that domain.
 func (s *Source) Zipf(sExp float64, n uint64) *Zipf {
+	if !(sExp > 1) {
+		panic("rng: Zipf exponent must be > 1")
+	}
+	if n == 0 {
+		panic("rng: Zipf with n == 0")
+	}
 	s.mu.Lock()
 	z := rand.NewZipf(s.r, sExp, 1, n-1)
 	s.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/phash"
-	"repro/internal/rng"
 )
 
 // Default capacity bounds of a capture cache. Hash entries are ~50
@@ -65,11 +64,6 @@ type Cache struct {
 	obsEntries, obsPoolInUse         *obs.Gauge
 	obsPoolPeak                      *obs.Gauge
 	obsPoolGets, obsPoolReuses       *obs.Gauge
-	obsRngMemoHits                   *obs.Counter
-
-	// Last-exported cumulative rng memo hits, so the monotonic counter
-	// above receives deltas (the memo reports totals).
-	expRngMemoHits atomic.Int64
 }
 
 // fifo is a slice-backed queue with amortised O(1) pops.
@@ -124,15 +118,14 @@ func NewCache(maxEntries int, reg *obs.Registry) *Cache {
 		maxImages: maxImages,
 		maxPaints: maxPaints,
 
-		obsHits:        reg.Counter("capture_cache_hits_total"),
-		obsMisses:      reg.Counter("capture_cache_misses_total"),
-		obsEvictions:   reg.Counter("capture_cache_evictions_total"),
-		obsEntries:     reg.Gauge("capture_cache_entries"),
-		obsPoolInUse:   reg.Gauge("capture_pool_in_use_bytes"),
-		obsPoolPeak:    reg.Gauge("capture_pool_peak_bytes"),
-		obsPoolGets:    reg.Gauge("capture_pool_gets"),
-		obsPoolReuses:  reg.Gauge("capture_pool_reuses"),
-		obsRngMemoHits: reg.Counter("rng_seed_memo_hits_total"),
+		obsHits:       reg.Counter("capture_cache_hits_total"),
+		obsMisses:     reg.Counter("capture_cache_misses_total"),
+		obsEvictions:  reg.Counter("capture_cache_evictions_total"),
+		obsEntries:    reg.Gauge("capture_cache_entries"),
+		obsPoolInUse:  reg.Gauge("capture_pool_in_use_bytes"),
+		obsPoolPeak:   reg.Gauge("capture_pool_peak_bytes"),
+		obsPoolGets:   reg.Gauge("capture_pool_gets"),
+		obsPoolReuses: reg.Gauge("capture_pool_reuses"),
 	}
 }
 
@@ -318,9 +311,9 @@ func (c *Cache) storePaints(fp Fingerprint, paints []paint) {
 	}
 }
 
-// exportKernelStats publishes the fast-path gauges and counters that
-// back the capture kernel: imaging buffer pools and the rng seed memo.
-// Called on misses (the only operations that touch either).
+// exportKernelStats publishes the imaging buffer-pool gauges that back
+// the capture kernel. Called on misses (the only operations that touch
+// the pools).
 func (c *Cache) exportKernelStats() {
 	if c.obsPoolInUse == nil && c.obsPoolPeak == nil {
 		return
@@ -330,7 +323,4 @@ func (c *Cache) exportKernelStats() {
 	c.obsPoolPeak.SetMax(inUse)
 	c.obsPoolGets.Set(gets)
 	c.obsPoolReuses.Set(reuses)
-
-	memoHits, _, _, _ := rng.MemoStats()
-	c.obsRngMemoHits.Add(memoHits - c.expRngMemoHits.Swap(memoHits))
 }
