@@ -30,10 +30,10 @@ func bitIdentitySeeds() []int64 {
 // (274), one full revolution of the vector (607, 608), and several more.
 var streamLengths = []int{1, rngTap, rngTap + 1, rngLen, rngLen + 1, 3*rngLen + 17}
 
-// TestLazySourceMatchesMathRand is the source's core property: its
-// Uint64 and Int63 streams equal rand.NewSource's for every seed, before,
+// TestReplaySourceBitIdentical is the lazy source's core property: its
+// Uint64 stream replays rand.NewSource's exactly for every seed, before,
 // across and well past materialization.
-func TestLazySourceMatchesMathRand(t *testing.T) {
+func TestReplaySourceBitIdentical(t *testing.T) {
 	for _, seed := range bitIdentitySeeds() {
 		for _, n := range streamLengths {
 			lazy, ref := newLazySource(seed), rand.NewSource(seed).(rand.Source64)
@@ -42,7 +42,15 @@ func TestLazySourceMatchesMathRand(t *testing.T) {
 					t.Fatalf("seed %d len %d: Uint64 draw %d = %#x, want %#x", seed, n, i, got, want)
 				}
 			}
-			lazy, ref = newLazySource(seed), rand.NewSource(seed).(rand.Source64)
+		}
+	}
+}
+
+// TestReplaySourceInt63Matches checks the Int63 stream the same way.
+func TestReplaySourceInt63Matches(t *testing.T) {
+	for _, seed := range bitIdentitySeeds() {
+		for _, n := range streamLengths {
+			lazy, ref := newLazySource(seed), rand.NewSource(seed)
 			for i := 0; i < n; i++ {
 				if got, want := lazy.Int63(), ref.Int63(); got != want {
 					t.Fatalf("seed %d len %d: Int63 draw %d = %d, want %d", seed, n, i, got, want)
@@ -103,10 +111,10 @@ func TestRandMethodsMatchMathRand(t *testing.T) {
 	}
 }
 
-// TestSplitStreamMatchesMathRand checks the Source API end to end: New
-// and Split streams equal a standard generator seeded with the same
-// (child) seed, and repeated Splits of one name replay one stream.
-func TestSplitStreamMatchesMathRand(t *testing.T) {
+// TestMemoSplitStreamsMatch checks Split end to end: repeated Splits of
+// one name replay one stream, and that stream's rand.Rand-derived values
+// equal a standard generator seeded with the same child seed.
+func TestMemoSplitStreamsMatch(t *testing.T) {
 	root := New(987)
 	a := root.Split("campaign/x")
 	b := New(987).Split("campaign/x")
@@ -117,13 +125,21 @@ func TestSplitStreamMatchesMathRand(t *testing.T) {
 			t.Fatalf("draw %d: %v %v %v", i, av, bv, rv)
 		}
 	}
-	if p, rp := a.Perm(17), ref.Perm(17); !slices.Equal(p, rp) {
-		t.Fatalf("Perm diverged: %v vs %v", p, rp)
+	if pa, pb, rp := a.Perm(17), b.Perm(17), ref.Perm(17); !slices.Equal(pa, rp) || !slices.Equal(pb, rp) {
+		t.Fatalf("Perm diverged: %v %v vs %v", pa, pb, rp)
 	}
-	s, want := New(424242424242), rand.NewSource(424242424242)
-	for i := 0; i < rngLen+50; i++ {
-		if got, w := s.Int63(), want.Int63(); got != w {
-			t.Fatalf("New draw %d: %d != %d", i, got, w)
+}
+
+// TestNewThroughMemoBitIdentical checks that New's stream equals
+// rand.NewSource's, and that every New of one seed replays it.
+func TestNewThroughMemoBitIdentical(t *testing.T) {
+	seed := int64(424242424242)
+	for round := 0; round < 3; round++ {
+		s, want := New(seed), rand.NewSource(seed)
+		for i := 0; i < rngLen+50; i++ {
+			if got, w := s.Int63(), want.Int63(); got != w {
+				t.Fatalf("round %d draw %d: %d != %d", round, i, got, w)
+			}
 		}
 	}
 }
