@@ -20,14 +20,15 @@ test:
 # The concurrency-bearing packages: internal/obs (lock-free counters,
 # span list), internal/crawler (worker farm), internal/core (pipeline +
 # batched milking engine + persistent milking pool), internal/cluster
-# (parallel neighbourhood precompute), internal/vclock (batch-tick API),
-# the capture fast path shared across worker pools (internal/imaging
-# buffer pools, internal/screenshot capture cache, internal/phash fused
-# hashing), the script fast path (internal/adscript program cache +
-# decode memo, internal/browser per-tab interpreter reuse), the service
-# job engine (internal/serve store + worker pool + HTTP handlers), the
-# sharded blacklist (internal/gsb concurrent observe/lookup under the
-# milker's poll fan-out), the incremental campaign store (internal/campstore
+# (band-sharded index, batch probes fanned out across workers),
+# internal/vclock (batch-tick API), the capture fast path shared across
+# worker pools (internal/imaging buffer pools, internal/screenshot
+# capture cache, internal/phash fused hashing), the script fast path
+# (internal/adscript program cache + decode memo, internal/browser
+# per-tab interpreter reuse), the service job engine (internal/serve
+# store + worker pool + HTTP handlers), the sharded blacklist
+# (internal/gsb concurrent observe/lookup under the milker's poll
+# fan-out), the incremental campaign store (internal/campstore
 # concurrent appenders/readers against one mutex-guarded store), the
 # synthetic web the parallel crawl hits (internal/secamp concurrent
 # attack-domain minting, internal/adnet request-keyed fills), plus the
@@ -64,7 +65,8 @@ bench-obs:
 
 # The perf contract benches: end-to-end pipeline (Figure 2), the milking
 # stage per worker count, cluster triage (which reports the
-# distance-calls metric of the multi-index), the capture fast path
+# distance-calls metric of discovery's campaign-store clustering through
+# the pigeonhole index), the capture fast path
 # (cold miss vs memoized hit, with allocs/op), and the script fast path
 # (parse-per-run vs cached program on a reused interpreter), the
 # incremental campaign store (append / merge / full-rebuild, each
@@ -74,10 +76,12 @@ bench-obs:
 # -benchtime 1x keeps a baseline run under a minute; these are
 # regression sentinels, not statistically tight measurements.
 BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_
-# The hashing/rng kernel sentinels run at a higher benchtime: they are
-# microseconds-to-milliseconds each, so 1x would mostly measure timer
-# noise. BenchmarkRngSplit_ lives in internal/rng, hence the extra dir.
-KERNEL_BENCH_PATTERN = BenchmarkHashKernel_|BenchmarkRngSplit_
+# The hashing/rng/batch-clustering kernel sentinels run at a higher
+# benchtime: they are microseconds-to-milliseconds each, so 1x would
+# mostly measure timer noise. BenchmarkRngSplit_ lives in internal/rng
+# and the batch DBSCAN path (serial, and probing across 2 workers) in
+# internal/cluster, hence the extra dirs.
+KERNEL_BENCH_PATTERN = BenchmarkHashKernel_|BenchmarkRngSplit_|BenchmarkDBSCANHashes10k$$|BenchmarkClusterHashes10k_W2$$
 BENCH_BASELINE = BENCH_pipeline.json
 
 # Record the current cost of the contract benches into $(BENCH_BASELINE).
@@ -87,7 +91,7 @@ BENCH_BASELINE = BENCH_pipeline.json
 # extra keys.
 bench-baseline:
 	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . | tee BENCH_pipeline.txt
-	$(GO) test -run XXX -bench '$(KERNEL_BENCH_PATTERN)' -benchtime 100x -benchmem . ./internal/rng/ | tee -a BENCH_pipeline.txt
+	$(GO) test -run XXX -bench '$(KERNEL_BENCH_PATTERN)' -benchtime 100x -benchmem . ./internal/rng/ ./internal/cluster/ | tee -a BENCH_pipeline.txt
 	awk 'BEGIN { print "{"; first = 1 } \
 	     /^Benchmark/ { \
 	       name = $$1; sub(/-[0-9]+$$/, "", name); \

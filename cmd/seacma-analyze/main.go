@@ -46,7 +46,7 @@ func parseFlags(args []string) (*analyzeConfig, error) {
 		eps     = fs.Float64("eps", 0.1, "DBSCAN eps over normalised dhash distance")
 		minPts  = fs.Int("minpts", 3, "DBSCAN MinPts")
 		minDoms = fs.Int("theta-c", 5, "minimum distinct e2LDs per campaign (θc)")
-		workers = fs.Int("workers", 1, "parallelism of the clustering neighbourhood precompute (output is identical for any value)")
+		workers = fs.Int("workers", 1, "parallelism of batch clustering's index probes (output is identical for any value)")
 		metrics = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write an allocation profile to this file")

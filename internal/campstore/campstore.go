@@ -18,7 +18,7 @@
 // pure function:
 //
 //   - the ε-adjacency between distinct hashes, discovered by probing a
-//     mutable pigeonhole multi-index (cluster.DynamicIndex) once per
+//     mutable pigeonhole index (cluster.DynamicIndex) once per
 //     new distinct hash — re-observations of a known hash cost zero
 //     distance calls;
 //   - per-view member lists and neighbourhood counts (a hash's count is

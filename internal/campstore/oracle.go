@@ -8,7 +8,7 @@ import (
 )
 
 // oracleCompare re-clusters one view's hash sequence with the batch
-// pipeline (cluster.ClusterHashes — a fresh pigeonhole multi-index plus
+// pipeline (cluster.ClusterHashes — a fresh pigeonhole index plus
 // deterministic DBSCAN) and compares labels exactly against the
 // incremental ones. Any divergence is a bug in the incremental engine.
 func (s *Store) oracleCompare(name string, hashes []phash.Hash, inc []int, n int) error {

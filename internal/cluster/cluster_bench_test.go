@@ -48,6 +48,30 @@ func BenchmarkDBSCANHashes10k(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterHashes10k_W2 is the batch path with its probes spread
+// across two workers (the clustering fallback's shape on a 2-CPU host).
+func BenchmarkClusterHashes10k_W2(b *testing.B) {
+	hashes := corpus(10000, 120)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ClusterHashes(hashes, PaperParams, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDBSCANHashesFlat1k(b *testing.B) {
+	hashes := corpus(1000, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DBSCANHashesFlat(hashes, PaperParams); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDBSCANBruteForce1k(b *testing.B) {
 	hashes := corpus(1000, 40)
 	b.ReportAllocs()

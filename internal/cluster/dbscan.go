@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -29,8 +30,12 @@ type Params struct {
 // PaperParams are the parameters the paper tunes via pilot experiments.
 var PaperParams = Params{Eps: 0.1, MinPts: 3}
 
-// Validate reports whether the parameters are usable.
+// Validate reports whether the parameters are usable: eps must be
+// finite and non-negative, MinPts at least 1.
 func (p Params) Validate() error {
+	if math.IsNaN(p.Eps) || math.IsInf(p.Eps, 0) {
+		return fmt.Errorf("cluster: non-finite eps %v", p.Eps)
+	}
 	if p.Eps < 0 {
 		return fmt.Errorf("cluster: negative eps %v", p.Eps)
 	}
@@ -145,7 +150,7 @@ func DBSCAN[P any](points []P, dist DistanceFunc[P], params Params) (Result, err
 
 // DBSCANIndexed is DBSCAN with a caller-provided neighbourhood index. The
 // index function must return all points within Eps of i (including i).
-// Use when a domain-specific index (e.g. the multi-probe Hamming index in
+// Use when a domain-specific index (e.g. the pigeonhole Hamming index in
 // this package) makes neighbour queries sub-quadratic.
 func DBSCANIndexed(n int, index func(i int) []int, params Params) (Result, error) {
 	if err := params.Validate(); err != nil {

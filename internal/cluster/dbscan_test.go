@@ -120,8 +120,10 @@ func TestDBSCANDeterministic(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	if err := (Params{Eps: -1, MinPts: 3}).Validate(); err == nil {
-		t.Fatal("negative eps accepted")
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Params{Eps: eps, MinPts: 3}).Validate(); err == nil {
+			t.Fatalf("eps %v accepted", eps)
+		}
 	}
 	if err := (Params{Eps: 0.1, MinPts: 0}).Validate(); err == nil {
 		t.Fatal("MinPts 0 accepted")

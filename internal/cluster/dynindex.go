@@ -1,33 +1,38 @@
 package cluster
 
 import (
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/phash"
 )
 
-// DynamicIndex is the mutable sibling of MultiIndex: the same
-// pigeonhole-partitioned Hamming index over 128-bit perceptual hashes,
-// but supporting insertion so an incremental clustering engine
-// (internal/campstore) can absorb new observations without a rebuild.
+// DynamicIndex is a pigeonhole-partitioned Hamming index over 128-bit
+// perceptual hashes that supports insertion, so the incremental
+// clustering engine (internal/campstore) absorbs new observations
+// without a rebuild, and batch clustering (ClusterHashes) registers a
+// whole corpus and then probes it.
 //
-// The band layout is identical to MultiIndex (bandsFor bands at the
-// given bit radius, tol = ⌊maxBits/bands⌋ flips per band), so a probe
-// visits exactly the buckets a freshly built MultiIndex would, paying
-// one full Hamming verification per *distinct candidate* — the marginal
-// cost of an insert scales with the density around the new hash, not
-// with the corpus.
+// The 128-bit dhash is split into m contiguous bands. For two hashes
+// within maxBits of each other, at least one band must differ by at
+// most tol = ⌊maxBits/m⌋ bits (pigeonhole: if every band differed by
+// tol+1 or more, the total distance would be at least m·(tol+1) >
+// maxBits). A probe therefore looks up, per band, the buckets of every
+// band value within tol bit flips of the query's band value, and
+// verifies only those candidates with a full Hamming distance
+// computation — one per *distinct candidate*, so the marginal cost of
+// an insert scales with the density around the new hash, not with the
+// corpus. With the paper's eps=0.1 (12 bits) the index uses 13 bands
+// with tol=0: 13 exact bucket lookups per probe.
 //
 // # Concurrency
 //
-// Unlike its pre-sharded ancestor, DynamicIndex is safe for concurrent
-// use, and its locking is band-sharded: every band owns an independent
-// bucket map behind its own RWMutex, so concurrent probes share each
-// shard read-locked and a registration write-locks one shard at a time.
-// The remaining shared state is lock-free for readers:
+// DynamicIndex is safe for concurrent use, and its locking is
+// band-sharded: every band owns an independent bucket map behind its
+// own RWMutex, so concurrent probes share each shard read-locked and a
+// registration write-locks one shard at a time. The remaining shared
+// state is lock-free for readers:
 //
 //   - the distinct-hash table is a chunked append-only store — chunks
 //     are fixed arrays, the chunk directory is swapped atomically, and
@@ -42,13 +47,13 @@ import (
 // Only id assignment (Claim) serializes on a mutex, and it is O(1).
 //
 // The split lifecycle — Claim (assign id), Register (publish into every
-// band bucket), ProbeNeighbours (collect candidates across shards,
-// dedup, verify once each) — is what the campaign store's staged ingest
-// builds on. The discovery guarantee it relies on: if every caller
-// completes Register(h) before calling ProbeNeighbours(h), then for any
-// two hashes within maxBits at least one of the two probes finds the
-// other, regardless of interleaving. Proof sketch: take any band b both
-// hashes fall into within tol (pigeonhole: one exists). The band-b lock
+// band bucket), ProbeNeighbours (walk the shards, dedup, verify once
+// each) — is what the campaign store's staged ingest builds on. The
+// discovery guarantee it relies on: if every caller completes
+// Register(h) before calling ProbeNeighbours(h), then for any two
+// hashes within maxBits at least one of the two probes finds the other,
+// regardless of interleaving. Proof sketch: take any band b both hashes
+// fall into within tol (pigeonhole: one exists). The band-b lock
 // serializes each hash's insert-then-read; if neither probe saw the
 // other, each read preceded the other's insert, giving the cycle
 // read_a < insert_b < read_b < insert_a < read_a — impossible.
@@ -113,26 +118,88 @@ func (t *hashTable) append(h phash.Hash) int32 {
 	return int32(i)
 }
 
-// NewDynamicIndex builds an empty index for a normalised eps (fraction
-// of the 128 hash bits), using the same automatic band selection as
-// NewMultiIndex.
-func NewDynamicIndex(eps float64) *DynamicIndex {
-	maxBits := int(eps * float64(phash.Bits))
-	bands := bandsFor(maxBits)
-	x := &DynamicIndex{
-		maxBits: maxBits,
-		tol:     maxBits / bands,
-		shards:  make([]indexShard, bands),
-	}
-	base, extra := phash.Bits/bands, phash.Bits%bands
+// bandSpec is one contiguous bit span [Off, Off+Width) of the 128-bit
+// hash (bit i reads from Hi for i < 64, from Lo above).
+type bandSpec struct{ Off, Width uint }
+
+// MaxBands caps the band count; beyond ~16 bands the per-band bucket
+// values get too short and every bucket collides.
+const MaxBands = 16
+
+// bandsFor picks the band count for a bit radius: maxBits+1 bands give
+// tol=0 (exact band probes); capped at MaxBands, floored at 2 so each
+// band value fits a uint64.
+func bandsFor(maxBits int) int {
+	return max(2, min(maxBits+1, MaxBands))
+}
+
+// bandLayout splits the 128 hash bits into m contiguous bands, the
+// first 128 mod m of them one bit wider.
+func bandLayout(m int) []bandSpec {
+	specs := make([]bandSpec, m)
+	base, extra := phash.Bits/m, phash.Bits%m
 	off := uint(0)
-	for b := 0; b < bands; b++ {
+	for b := range specs {
 		w := uint(base)
 		if b < extra {
 			w++
 		}
-		x.specs = append(x.specs, bandSpec{Off: off, Width: w})
+		specs[b] = bandSpec{Off: off, Width: w}
 		off += w
+	}
+	return specs
+}
+
+// bandValue extracts the band's bits from the 128-bit concatenation
+// Hi||Lo (bit 0 = lowest bit of Hi, bit 64 = lowest bit of Lo).
+func bandValue(h phash.Hash, b bandSpec) uint64 {
+	var v uint64
+	if b.Off < 64 {
+		v = h.Hi >> b.Off
+		if b.Off+b.Width > 64 {
+			v |= h.Lo << (64 - b.Off)
+		}
+	} else {
+		v = h.Lo >> (b.Off - 64)
+	}
+	if b.Width < 64 {
+		v &= (1 << b.Width) - 1
+	}
+	return v
+}
+
+// enumBand calls emit for every value within tol bit flips of v
+// (including v itself), each exactly once.
+func enumBand(v uint64, width uint, tol int, emit func(uint64)) {
+	emit(v)
+	if tol <= 0 {
+		return
+	}
+	var rec func(v uint64, start uint, left int)
+	rec = func(v uint64, start uint, left int) {
+		for p := start; p < width; p++ {
+			fv := v ^ (1 << p)
+			emit(fv)
+			if left > 1 {
+				rec(fv, p+1, left-1)
+			}
+		}
+	}
+	rec(v, 0, tol)
+}
+
+// NewDynamicIndex builds an empty index for a normalised eps (fraction
+// of the 128 hash bits), with bandsFor bands at that bit radius.
+func NewDynamicIndex(eps float64) *DynamicIndex {
+	maxBits := int(eps * float64(phash.Bits))
+	specs := bandLayout(bandsFor(maxBits))
+	x := &DynamicIndex{
+		maxBits: maxBits,
+		tol:     maxBits / len(specs),
+		specs:   specs,
+		shards:  make([]indexShard, len(specs)),
+	}
+	for b := range x.shards {
 		x.shards[b].buckets = map[uint64][]int32{}
 	}
 	return x
@@ -193,111 +260,90 @@ func (x *DynamicIndex) Register(id int32, h phash.Hash) {
 // ProbeStats reports what one probe cost.
 type ProbeStats struct {
 	Probes        int64 // bucket lookups across shards
-	Candidates    int64 // distinct candidates examined (self excluded)
+	Candidates    int64 // distinct candidates examined
 	DistanceCalls int64 // full Hamming verifications
 }
 
-// probeScratch is pooled per-probe state: per-band candidate slots plus
-// the merged id list.
+// probeScratch is pooled per-probe state: a stamp array deduplicating
+// candidates across bands without per-probe allocation (mark[id] ==
+// stamp once id was seen by the current probe), plus the candidate list.
 type probeScratch struct {
-	perBand [][]int32
-	ids     []int32
+	mark  []uint32
+	stamp uint32
+	ids   []int32
 }
 
 var probePool = sync.Pool{New: func() any { return &probeScratch{} }}
 
-// bandParallelMin gates the parallel band fan-out: below this many
-// distinct hashes the per-band work is a handful of map lookups and
-// goroutine dispatch would dominate, so the bands are walked serially
-// on the calling goroutine.
-const bandParallelMin = 4096
+// collect appends every id of bucket not yet seen by this probe (and
+// not self) to sc.ids.
+func (sc *probeScratch) collect(x *DynamicIndex, bucket []int32, self int32) {
+	for _, cd := range bucket {
+		if int(cd) >= len(sc.mark) {
+			// Ids are claimed before they are published, so Len
+			// already covers any id a bucket holds.
+			sc.mark = append(sc.mark, make([]uint32, x.Len()-len(sc.mark))...)
+		}
+		if cd == self || sc.mark[cd] == sc.stamp {
+			continue
+		}
+		sc.mark[cd] = sc.stamp
+		sc.ids = append(sc.ids, cd)
+	}
+}
 
 // ProbeNeighbours returns the ids of every registered distinct hash
 // within maxBits of h, ascending, excluding self (pass self = -1 when h
-// is not registered). Candidates are collected per band shard — in
-// parallel across shards once the corpus is large enough (or whenever
-// tol > 0 makes the per-band enumeration wide) — deduplicated across
-// shards, and each verified with one full Hamming distance call.
+// is not registered, or to have h's own id verified and returned too).
+// It walks the bands serially, each shard's buckets under that shard's
+// read lock, keeping the first sighting of every candidate, then
+// verifies each distinct candidate with one full Hamming distance call
+// outside all locks.
 func (x *DynamicIndex) ProbeNeighbours(h phash.Hash, self int32) ([]int32, ProbeStats) {
 	sc := probePool.Get().(*probeScratch)
-	if len(sc.perBand) < len(x.shards) {
-		sc.perBand = make([][]int32, len(x.shards))
+	sc.stamp++
+	if sc.stamp == 0 { // wrapped: stale marks could alias the new stamp
+		clear(sc.mark)
+		sc.stamp = 1
 	}
+	sc.ids = sc.ids[:0]
 
 	var st ProbeStats
-	parallel := x.tol > 0 || int(x.hashes.n.Load()) >= bandParallelMin
-	if parallel && runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		var probes atomic.Int64
-		for b := range x.shards {
-			wg.Add(1)
-			go func(b int) {
-				defer wg.Done()
-				n, out := x.collectBand(b, h, sc.perBand[b][:0])
-				sc.perBand[b] = out
-				probes.Add(n)
-			}(b)
-		}
-		wg.Wait()
-		st.Probes = probes.Load()
-	} else {
-		for b := range x.shards {
-			n, out := x.collectBand(b, h, sc.perBand[b][:0])
-			sc.perBand[b] = out
-			st.Probes += n
-		}
-	}
-
-	// Dedup across shards: merge, sort, unique, drop self.
-	ids := sc.ids[:0]
 	for b := range x.shards {
-		ids = append(ids, sc.perBand[b]...)
+		spec, sh := x.specs[b], &x.shards[b]
+		var lookups int64
+		sh.mu.RLock()
+		enumBand(bandValue(h, spec), spec.Width, x.tol, func(pv uint64) {
+			lookups++
+			sc.collect(x, sh.buckets[pv], self)
+		})
+		sh.mu.RUnlock()
+		sh.probes.Add(lookups)
+		st.Probes += lookups
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w := 0
-	for i, id := range ids {
-		if id == self || (i > 0 && id == ids[i-1]) {
-			continue
-		}
-		ids[w] = id
-		w++
-	}
-	ids = ids[:w]
 
-	// Verify each distinct candidate once. No locks held: candidate
-	// cells are immutable once their ids were published.
-	var nbrs []int32
-	for _, cd := range ids {
-		st.Candidates++
-		st.DistanceCalls++
+	// Verify each distinct candidate once, filtering sc.ids in place.
+	// No locks held: candidate cells are immutable once their ids were
+	// published.
+	st.Candidates = int64(len(sc.ids))
+	st.DistanceCalls = st.Candidates
+	w := 0
+	for _, cd := range sc.ids {
 		if phash.Distance(h, x.hashes.at(cd)) <= x.maxBits {
-			nbrs = append(nbrs, cd)
+			sc.ids[w] = cd
+			w++
 		}
 	}
-	sc.ids = ids[:0]
+	var nbrs []int32
+	if w > 0 {
+		nbrs = slices.Clone(sc.ids[:w])
+		slices.Sort(nbrs)
+	}
 	probePool.Put(sc)
 
 	x.candidates.Add(st.Candidates)
 	x.distCalls.Add(st.DistanceCalls)
 	return nbrs, st
-}
-
-// collectBand gathers the candidate ids of one band shard under its
-// read lock, returning the bucket-lookup count (also recorded on the
-// shard's probe counter).
-func (x *DynamicIndex) collectBand(b int, h phash.Hash, out []int32) (int64, []int32) {
-	spec := x.specs[b]
-	v := bandValue(h, spec)
-	sh := &x.shards[b]
-	var lookups int64
-	sh.mu.RLock()
-	enumBand(v, spec.Width, x.tol, func(pv uint64) {
-		lookups++
-		out = append(out, sh.buckets[pv]...)
-	})
-	sh.mu.RUnlock()
-	sh.probes.Add(lookups)
-	return lookups, out
 }
 
 // Add inserts h and returns its id plus the ids of every previously

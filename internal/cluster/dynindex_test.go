@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"math/bits"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/phash"
+	"repro/internal/rng"
 )
 
 func dynTestHashes(n int, seed int64) []phash.Hash {
@@ -38,11 +42,135 @@ func dynTestHashes(n int, seed int64) []phash.Hash {
 	return out
 }
 
-// TestDynamicIndexMatchesMultiIndex checks that incrementally adding a
+// bruteNeighbours is the reference neighbourhood: every point within
+// maxBits of point i, in ascending index order.
+func bruteNeighbours(hashes []phash.Hash, i, maxBits int) []int {
+	var out []int
+	for j, h := range hashes {
+		if phash.Distance(hashes[i], h) <= maxBits {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// sortedCopy returns a sorted copy of a neighbourhood, for
+// order-insensitive comparisons.
+func sortedCopy(nb []int) []int {
+	out := append([]int(nil), nb...)
+	sort.Ints(out)
+	return out
+}
+
+func TestMultiIndexBandsCoverAllBits(t *testing.T) {
+	for m := 2; m <= MaxBands; m++ {
+		specs := bandLayout(m)
+		if len(specs) != m {
+			t.Fatalf("m=%d: got %d bands", m, len(specs))
+		}
+		covered := uint(0)
+		for i, b := range specs {
+			if b.Off != covered {
+				t.Fatalf("m=%d: band %d starts at %d, want %d", m, i, b.Off, covered)
+			}
+			if b.Width == 0 || b.Width > 64 {
+				t.Fatalf("m=%d: band %d width %d out of range", m, i, b.Width)
+			}
+			covered += b.Width
+		}
+		if covered != phash.Bits {
+			t.Fatalf("m=%d: bands cover %d bits, want %d", m, covered, phash.Bits)
+		}
+	}
+}
+
+func TestBandValueMatchesBitExtraction(t *testing.T) {
+	src := rng.New(3)
+	for trial := 0; trial < 200; trial++ {
+		h := phash.Hash{Hi: uint64(src.Int63()) | uint64(src.Intn(2))<<63, Lo: uint64(src.Int63()) | uint64(src.Intn(2))<<63}
+		off := uint(src.Intn(120))
+		width := uint(1 + src.Intn(min(64, 128-int(off))))
+		var want uint64
+		for b := uint(0); b < width; b++ {
+			bit := off + b
+			var v uint64
+			if bit < 64 {
+				v = (h.Hi >> bit) & 1
+			} else {
+				v = (h.Lo >> (bit - 64)) & 1
+			}
+			want |= v << b
+		}
+		got := bandValue(h, bandSpec{Off: off, Width: width})
+		if got != want {
+			t.Fatalf("bandValue(%v, off=%d, w=%d) = %x, want %x", h, off, width, got, want)
+		}
+	}
+}
+
+func TestEnumBandEmitsExactlyWithinTol(t *testing.T) {
+	const width, tol = 6, 2
+	v := uint64(0b101100)
+	seen := map[uint64]int{}
+	enumBand(v, width, tol, func(pv uint64) { seen[pv]++ })
+	// Every value within tol flips appears exactly once; none beyond.
+	for cand := uint64(0); cand < 1<<width; cand++ {
+		d := bits.OnesCount64(cand ^ v)
+		n := seen[cand]
+		if d <= tol && n != 1 {
+			t.Fatalf("value %06b at distance %d emitted %d times", cand, d, n)
+		}
+		if d > tol && n != 0 {
+			t.Fatalf("value %06b at distance %d emitted %d times, want 0", cand, d, n)
+		}
+	}
+}
+
+// TestMultiIndexNeighboursMatchBruteForce registers a corpus, then
+// checks every point's ProbeNeighbours result (expanded to point
+// indices) against a brute-force scan, across an eps sweep that runs
+// from exact-match buckets (tol 0) to 0.45, where every band probe
+// enumerates hundreds of flipped values.
+func TestMultiIndexNeighboursMatchBruteForce(t *testing.T) {
+	hashes := corpus(400, 12)
+	for _, eps := range []float64{0.0, 0.1, 0.2, 0.35, 0.45} {
+		x := NewDynamicIndex(eps)
+		var members [][]int
+		for i, h := range hashes {
+			id, isNew := x.Claim(h)
+			if isNew {
+				x.Register(id, h)
+				members = append(members, nil)
+			}
+			members[id] = append(members[id], i)
+		}
+		for i, h := range hashes {
+			ids, st := x.ProbeNeighbours(h, -1)
+			if st.Candidates != st.DistanceCalls {
+				t.Fatalf("eps=%v point %d: %d candidates, %d distance calls", eps, i, st.Candidates, st.DistanceCalls)
+			}
+			var got []int
+			for _, id := range ids {
+				got = append(got, members[id]...)
+			}
+			want := bruteNeighbours(hashes, i, x.MaxBits())
+			if got := sortedCopy(got); !reflect.DeepEqual(got, want) {
+				t.Fatalf("eps=%v point %d: neighbours %v, want %v", eps, i, got, want)
+			}
+			self, _ := x.Lookup(h)
+			without, _ := x.ProbeNeighbours(h, self)
+			if len(without) != len(ids)-1 || slices.Contains(without, self) {
+				t.Fatalf("eps=%v point %d: probe excluding self %v, with self %v", eps, i, without, ids)
+			}
+		}
+	}
+}
+
+// TestDynamicIndexMatchesBruteForce checks that incrementally adding a
 // stream yields, for every distinct hash, exactly the neighbour set a
-// freshly built MultiIndex reports, and that the final distinct-hash
-// numbering matches first-appearance order.
-func TestDynamicIndexMatchesMultiIndex(t *testing.T) {
+// brute-force scan over all distinct hashes reports, and that the final
+// distinct-hash numbering matches first-appearance order.
+func TestDynamicIndexMatchesBruteForce(t *testing.T) {
 	const eps = 0.1
 	hashes := dynTestHashes(300, 7)
 
@@ -59,11 +187,6 @@ func TestDynamicIndexMatchesMultiIndex(t *testing.T) {
 		}
 	}
 
-	mi := NewMultiIndex(hashes, eps, 0)
-	if mi.DistinctCount() != dyn.Len() {
-		t.Fatalf("distinct count: multi %d dyn %d", mi.DistinctCount(), dyn.Len())
-	}
-	// Map MultiIndex point-level neighbours onto distinct ids.
 	seen := map[phash.Hash]int32{}
 	order := []phash.Hash{}
 	for _, h := range hashes {
@@ -71,6 +194,9 @@ func TestDynamicIndexMatchesMultiIndex(t *testing.T) {
 			seen[h] = int32(len(order))
 			order = append(order, h)
 		}
+	}
+	if len(order) != dyn.Len() {
+		t.Fatalf("distinct count: brute %d dyn %d", len(order), dyn.Len())
 	}
 	for d, h := range order {
 		id, ok := dyn.Lookup(h)

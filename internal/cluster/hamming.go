@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/phash"
 )
 
@@ -63,17 +66,78 @@ func (idx *HashNeighbourIndex) DistanceCalls() int64 { return idx.distCalls }
 
 // DBSCANHashes clusters perceptual hashes with the paper's metric
 // (normalised Hamming distance). Neighbour queries go through the
-// pigeonhole multi-index (multiindex.go) instead of scanning every
-// distinct hash; ClusterHashes exposes the same path with parallel
-// neighbourhood precompute and index statistics.
+// pigeonhole index (DynamicIndex) instead of scanning every distinct
+// hash; ClusterHashes exposes the same path with the probes spread
+// across workers and the index returned for its statistics.
 func DBSCANHashes(hashes []phash.Hash, params Params) (Result, error) {
 	res, _, err := ClusterHashes(hashes, params, 1)
 	return res, err
 }
 
+// ClusterHashes batch-clusters perceptual hashes through a DynamicIndex:
+// it claims and registers every distinct hash in first-appearance order,
+// probes each distinct hash once (spread across workers), and runs
+// DBSCANIndexed over the resulting neighbourhoods. Every probe sees the
+// fully registered corpus, so labels and distance calls are identical
+// for any worker count. The index is returned for stats introspection.
+func ClusterHashes(hashes []phash.Hash, params Params, workers int) (Result, *DynamicIndex, error) {
+	if err := params.Validate(); err != nil {
+		return Result{}, nil, err
+	}
+	x := NewDynamicIndex(params.Eps)
+	ofPoint := make([]int32, len(hashes))
+	var members [][]int // members[d] = point indices with distinct hash d
+	for i, h := range hashes {
+		d, isNew := x.Claim(h)
+		if isNew {
+			x.Register(d, h)
+			members = append(members, nil)
+		}
+		ofPoint[i] = d
+		members[d] = append(members[d], i)
+	}
+
+	// nbhd[d] = point indices within eps of distinct hash d, itself
+	// included (probing with self = -1 verifies and returns d too).
+	nbhd := make([][]int, len(members))
+	probe := func(d int) {
+		ids, _ := x.ProbeNeighbours(x.Hash(int32(d)), -1)
+		n := 0
+		for _, cd := range ids {
+			n += len(members[cd])
+		}
+		pts := make([]int, 0, n)
+		for _, cd := range ids {
+			pts = append(pts, members[cd]...)
+		}
+		nbhd[d] = pts
+	}
+	workers = max(1, min(workers, len(members)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				d := int(next.Add(1)) - 1
+				if d >= len(members) {
+					return
+				}
+				probe(d)
+			}
+		}()
+	}
+	wg.Wait()
+
+	res, err := DBSCANIndexed(len(hashes), func(i int) []int { return nbhd[ofPoint[i]] }, params)
+	res.DistanceCalls = x.DistanceCalls()
+	return res, x, err
+}
+
 // DBSCANHashesFlat is the previous clustering path — one distance
 // computation per distinct hash per query — kept for ablations and as
-// the reference implementation the multi-index is tested against.
+// the reference implementation the index is tested against.
 func DBSCANHashesFlat(hashes []phash.Hash, params Params) (Result, error) {
 	idx := NewHashNeighbourIndex(hashes, params.Eps)
 	res, err := DBSCANIndexed(len(hashes), idx.Neighbours, params)

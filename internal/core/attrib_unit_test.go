@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -177,10 +180,30 @@ func splitLines(s string) []string {
 	return out
 }
 
+// Discover and RunStream reject unusable DBSCAN parameters even though
+// the incremental store would cluster with them: a negative eps used to
+// cluster anyway and a NaN one made everything noise, both silently.
+// RunStream must reject them before reversing seeds or crawling (the
+// pipeline here has no search engine or web to crawl).
 func TestDiscoverRejectsBadParams(t *testing.T) {
 	_, err := Discover(nil, DiscoveryParams{Cluster: cluster.Params{Eps: -1, MinPts: 0}, MinDomains: 5})
 	if err == nil {
 		t.Fatal("bad params accepted")
+	}
+	var landings []crawler.Landing
+	for _, d := range []string{"a.com", "b.com", "c.com", "d.com"} {
+		landings = append(landings, crawler.Landing{Hash: phash.Hash{}, Hashed: true, E2LD: d})
+	}
+	sessions := []*crawler.Session{{Landings: landings}}
+	for _, eps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		params := DiscoveryParams{Cluster: cluster.Params{Eps: eps, MinPts: 3}, MinDomains: 3}
+		if res, err := Discover(sessions, params); err == nil {
+			t.Errorf("Discover eps=%v: no error, %d clusters", eps, len(res.Clusters))
+		}
+		p := &Pipeline{Cfg: PipelineConfig{Discovery: params}}
+		if _, err := p.RunStream(context.Background(), StreamOptions{}); err == nil || !strings.Contains(err.Error(), "eps") {
+			t.Errorf("RunStream eps=%v: error %v, want an eps rejection", eps, err)
+		}
 	}
 }
 

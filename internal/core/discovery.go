@@ -22,8 +22,8 @@ type DiscoveryParams struct {
 	// MinDomains is θc: clusters spanning fewer distinct e2LDs are
 	// discarded (the paper sets 5).
 	MinDomains int
-	// Workers is the parallelism of the neighbourhood precompute feeding
-	// DBSCAN (default 1). Any value yields identical clusters.
+	// Workers is the parallelism of batch clustering's index probes
+	// (the fallback path; default 1). Any value yields identical clusters.
 	Workers int
 	// Obs receives discovery metrics (observations, DBSCAN distance
 	// calls, index probe/candidate counts, cluster and θc-filter
@@ -234,6 +234,9 @@ func discoverIncremental(st *campstore.Store, obs []Observation, params Discover
 // one); batch clustering is the fallback when a shared store is
 // unusable for this run.
 func Discover(sessions []*crawler.Session, params DiscoveryParams) (*DiscoveryResult, error) {
+	if err := params.Cluster.Validate(); err != nil {
+		return nil, Errorf("clustering: %v", err)
+	}
 	obs := CollectObservations(sessions)
 	var res cluster.Result
 	var store *campstore.Store
@@ -256,8 +259,8 @@ func Discover(sessions []*crawler.Session, params DiscoveryParams) (*DiscoveryRe
 	return assembleDiscovery(sessions, obs, res, store, params)
 }
 
-// clusterBatch is the from-scratch clustering fallback: multi-index
-// build + batch DBSCAN over the full observation sequence.
+// clusterBatch is the from-scratch clustering fallback: a fresh
+// pigeonhole index + batch DBSCAN over the full observation sequence.
 func clusterBatch(obs []Observation, params DiscoveryParams) (cluster.Result, error) {
 	hashes := make([]phash.Hash, len(obs))
 	for i, o := range obs {

@@ -197,6 +197,13 @@ func (p *Pipeline) crawlFarm(byHost map[string][]string) (*crawler.Crawler, []cr
 // Discover runs step ⑤.
 func (p *Pipeline) Discover(sessions []*crawler.Session) (*DiscoveryResult, error) {
 	defer p.Cfg.Obs.StartSpan("discover").End()
+	return Discover(sessions, p.discoveryParams())
+}
+
+// discoveryParams is the run's effective discovery configuration: the
+// paper defaults when none are set, the pipeline's registry and shared
+// campaign store unless the params name their own.
+func (p *Pipeline) discoveryParams() DiscoveryParams {
 	params := p.Cfg.Discovery
 	if params.Cluster.MinPts == 0 {
 		params = PaperDiscoveryParams
@@ -207,7 +214,7 @@ func (p *Pipeline) Discover(sessions []*crawler.Session) (*DiscoveryResult, erro
 	if params.Store == nil {
 		params.Store = p.Cfg.Campaigns
 	}
-	return Discover(sessions, params)
+	return params
 }
 
 // Attribute runs step ⑦.

@@ -64,6 +64,11 @@ func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResul
 			opts.OnProgress(ev)
 		}
 	}
+	// Reject unusable DBSCAN parameters before any crawling: the
+	// incremental store would otherwise cluster with them silently.
+	if err := p.discoveryParams().Cluster.Validate(); err != nil {
+		return nil, Errorf("clustering: %v", err)
+	}
 	out := &RunResult{}
 	emit(ProgressEvent{Phase: "reverse"})
 	out.PublisherHosts, out.NetworksByHost = p.Reverse()
@@ -139,16 +144,7 @@ type streamCoordinator struct {
 }
 
 func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent)) *streamCoordinator {
-	params := p.Cfg.Discovery
-	if params.Cluster.MinPts == 0 {
-		params = PaperDiscoveryParams
-	}
-	if params.Obs == nil {
-		params.Obs = p.Cfg.Obs
-	}
-	if params.Store == nil {
-		params.Store = p.Cfg.Campaigns
-	}
+	params := p.discoveryParams()
 	sc := &streamCoordinator{
 		p:        p,
 		emit:     emit,
