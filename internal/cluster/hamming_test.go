@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/phash"
@@ -63,6 +65,88 @@ func TestClusterHashesWorkerCountInvariance(t *testing.T) {
 		if st.DistanceCalls != ref.DistanceCalls {
 			t.Fatalf("workers=%d: %d distance calls, want %d (one probe per distinct hash at any width)",
 				workers, st.DistanceCalls, ref.DistanceCalls)
+		}
+	}
+}
+
+// TestMultiIndexLinearFallback clusters at eps=0.45, where every band
+// probe enumerates more flipped values than there are distinct hashes
+// (the regime the deleted linear-scan fallback used to take over). The
+// batch path must still label like the flat scan, and every point's
+// probed neighbourhood must match a brute-force scan.
+func TestMultiIndexLinearFallback(t *testing.T) {
+	hashes := corpus(60, 6)
+	params := Params{Eps: 0.45, MinPts: PaperParams.MinPts}
+	flat, err := DBSCANHashesFlat(hashes, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, idx, err := ClusterHashes(hashes, params, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(flat.Labels, res.Labels) {
+		t.Fatal("eps=0.45: indexed labels differ from flat-scan labels")
+	}
+	// ClusterHashes probes each distinct hash once.
+	if st := idx.Stats(); st.Probes/int64(st.Distinct) <= int64(st.Distinct) {
+		t.Fatalf("eps=0.45 over %d distinct: %d bucket lookups per probe, want more than the distinct count",
+			st.Distinct, st.Probes/int64(st.Distinct))
+	}
+	members := map[int32][]int{}
+	for i, h := range hashes {
+		id, _ := idx.Lookup(h)
+		members[id] = append(members[id], i)
+	}
+	for i, h := range hashes {
+		ids, _ := idx.ProbeNeighbours(h, -1)
+		var got []int
+		for _, id := range ids {
+			got = append(got, members[id]...)
+		}
+		want := bruteNeighbours(hashes, i, idx.MaxBits())
+		if got := sortedCopy(got); !reflect.DeepEqual(got, want) {
+			t.Fatalf("point %d: neighbours %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestMultiIndexParallelPrecomputeRace has 16 goroutines probe every
+// distinct hash of a registered index at once (under -race they share
+// the pooled stamp scratch and the shard read locks). Each probe must
+// return the same sorted neighbour set as a serial probe, its own id
+// included.
+func TestMultiIndexParallelPrecomputeRace(t *testing.T) {
+	hashes := corpus(500, 15)
+	x := NewDynamicIndex(0.1)
+	for _, h := range hashes {
+		if id, isNew := x.Claim(h); isNew {
+			x.Register(id, h)
+		}
+	}
+	n := x.Len()
+	serial := make([][]int32, n)
+	for d := range serial {
+		serial[d], _ = x.ProbeNeighbours(x.Hash(int32(d)), -1)
+	}
+	parallel := make([][]int32, n)
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for d := w; d < n; d += 16 {
+				parallel[d], _ = x.ProbeNeighbours(x.Hash(int32(d)), -1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for d := range parallel {
+		if !slices.Contains(parallel[d], int32(d)) {
+			t.Fatalf("distinct %d: neighbourhood %v misses itself", d, parallel[d])
+		}
+		if !reflect.DeepEqual(parallel[d], serial[d]) {
+			t.Fatalf("distinct %d: parallel probe %v, serial %v", d, parallel[d], serial[d])
 		}
 	}
 }
