@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race serve-smoke check bench bench-obs bench-baseline bench-check profile-milk profile-serve
+.PHONY: all build vet test test-race serve-smoke check loc bench bench-obs bench-baseline bench-check profile-milk profile-serve
 
 all: check
 
@@ -20,7 +20,7 @@ test:
 # The concurrency-bearing packages: internal/obs (lock-free counters,
 # span list), internal/crawler (worker farm), internal/core (pipeline +
 # batched milking engine + persistent milking pool), internal/cluster
-# (band-sharded index, batch probes fanned out across workers),
+# (band-sharded index, concurrent batch-clustering callers),
 # internal/vclock (batch-tick API), the capture fast path shared across
 # worker pools (internal/imaging buffer pools, internal/screenshot
 # capture cache, internal/phash fused hashing), the script fast path
@@ -51,6 +51,11 @@ serve-smoke:
 
 check: build vet test test-race
 
+# Non-test Go line count (the ROADMAP's size measure): tracked .go
+# files minus *_test.go and the separate seacmabench module.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:seacmabench/' | xargs cat | wc -l
+
 # The end-to-end benchmark (seacmabench/): builds the harness and the
 # seacma-serve daemon under .bench_build/ and prints one JSON result
 # line per run. Pick the workload and run shape with
@@ -79,9 +84,9 @@ BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|Benchmark
 # The hashing/rng/batch-clustering kernel sentinels run at a higher
 # benchtime: they are microseconds-to-milliseconds each, so 1x would
 # mostly measure timer noise. BenchmarkRngSplit_ lives in internal/rng
-# and the batch DBSCAN path (serial, and probing across 2 workers) in
-# internal/cluster, hence the extra dirs.
-KERNEL_BENCH_PATTERN = BenchmarkHashKernel_|BenchmarkRngSplit_|BenchmarkDBSCANHashes10k$$|BenchmarkClusterHashes10k_W2$$
+# and batch DBSCAN (the campaign store's oracle) in internal/cluster,
+# hence the extra dirs.
+KERNEL_BENCH_PATTERN = BenchmarkHashKernel_|BenchmarkRngSplit_|BenchmarkDBSCANHashes10k$$
 BENCH_BASELINE = BENCH_pipeline.json
 
 # Record the current cost of the contract benches into $(BENCH_BASELINE).

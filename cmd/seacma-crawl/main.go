@@ -51,7 +51,7 @@ func parseFlags(args []string) (*crawlConfig, error) {
 		asJSON     = fs.Bool("json", false, "emit the campaign list as JSON")
 		outFile    = fs.String("out", "", "write the crawl sessions to this file (JSONL) for offline analysis with seacma-analyze")
 		metrics    = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
-		workers    = fs.Int("workers", 0, "worker count for the crawl farm and clustering (0 = per-stage defaults; output is identical for any value)")
+		workers    = fs.Int("workers", 0, "worker count for the crawl farm (0 = per-stage default; output is identical for any value)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
 	)

@@ -32,7 +32,7 @@ func batchLabels(t *testing.T, hashes []phash.Hash, params cluster.Params) ([]in
 	if len(hashes) == 0 {
 		return nil, 0
 	}
-	res, _, err := cluster.ClusterHashes(hashes, params, 1)
+	res, _, err := cluster.ClusterHashes(hashes, params)
 	if err != nil {
 		t.Fatalf("batch clustering: %v", err)
 	}

@@ -12,7 +12,7 @@ import (
 // deterministic DBSCAN) and compares labels exactly against the
 // incremental ones. Any divergence is a bug in the incremental engine.
 func (s *Store) oracleCompare(name string, hashes []phash.Hash, inc []int, n int) error {
-	batch, _, err := cluster.ClusterHashes(hashes, s.params, 1)
+	batch, _, err := cluster.ClusterHashes(hashes, s.params)
 	if err != nil {
 		return fmt.Errorf("campstore oracle: batch recompute (%s view): %w", name, err)
 	}

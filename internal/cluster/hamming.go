@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/phash"
-)
+import "repro/internal/phash"
 
 // HashNeighbourIndex accelerates DBSCAN neighbour queries over perceptual
 // hashes. Screenshot corpora contain many exact-duplicate hashes (the same
@@ -67,20 +62,21 @@ func (idx *HashNeighbourIndex) DistanceCalls() int64 { return idx.distCalls }
 // DBSCANHashes clusters perceptual hashes with the paper's metric
 // (normalised Hamming distance). Neighbour queries go through the
 // pigeonhole index (DynamicIndex) instead of scanning every distinct
-// hash; ClusterHashes exposes the same path with the probes spread
-// across workers and the index returned for its statistics.
+// hash; ClusterHashes exposes the same path with the index returned for
+// its statistics.
 func DBSCANHashes(hashes []phash.Hash, params Params) (Result, error) {
-	res, _, err := ClusterHashes(hashes, params, 1)
+	res, _, err := ClusterHashes(hashes, params)
 	return res, err
 }
 
 // ClusterHashes batch-clusters perceptual hashes through a DynamicIndex:
 // it claims and registers every distinct hash in first-appearance order,
-// probes each distinct hash once (spread across workers), and runs
-// DBSCANIndexed over the resulting neighbourhoods. Every probe sees the
-// fully registered corpus, so labels and distance calls are identical
-// for any worker count. The index is returned for stats introspection.
-func ClusterHashes(hashes []phash.Hash, params Params, workers int) (Result, *DynamicIndex, error) {
+// probes each distinct hash once, and runs DBSCANIndexed over the
+// resulting neighbourhoods. It is the campaign store's oracle and the
+// reference the incremental engine is tested against. The index is
+// returned for stats introspection. Concurrent calls share only the
+// package's pooled probe scratch.
+func ClusterHashes(hashes []phash.Hash, params Params) (Result, *DynamicIndex, error) {
 	if err := params.Validate(); err != nil {
 		return Result{}, nil, err
 	}
@@ -100,7 +96,7 @@ func ClusterHashes(hashes []phash.Hash, params Params, workers int) (Result, *Dy
 	// nbhd[d] = point indices within eps of distinct hash d, itself
 	// included (probing with self = -1 verifies and returns d too).
 	nbhd := make([][]int, len(members))
-	probe := func(d int) {
+	for d := range members {
 		ids, _ := x.ProbeNeighbours(x.Hash(int32(d)), -1)
 		n := 0
 		for _, cd := range ids {
@@ -112,23 +108,6 @@ func ClusterHashes(hashes []phash.Hash, params Params, workers int) (Result, *Dy
 		}
 		nbhd[d] = pts
 	}
-	workers = max(1, min(workers, len(members)))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				d := int(next.Add(1)) - 1
-				if d >= len(members) {
-					return
-				}
-				probe(d)
-			}
-		}()
-	}
-	wg.Wait()
 
 	res, err := DBSCANIndexed(len(hashes), func(i int) []int { return nbhd[ofPoint[i]] }, params)
 	res.DistanceCalls = x.DistanceCalls()

@@ -39,32 +39,43 @@ func TestMultiIndexLabelsMatchFlatPath(t *testing.T) {
 	}
 }
 
-// TestClusterHashesWorkerCountInvariance runs the probe fan-out at
-// several widths (under -race, 16 workers race on the shared index and
-// scratch pool): labels, cluster count and distance calls must match
-// the single-worker run.
+// TestClusterHashesWorkerCountInvariance runs 1, 2, 8 and 16
+// concurrent ClusterHashes callers over one corpus (under -race they
+// share the index package's pooled probe scratch): every caller's
+// labels, cluster count and distance calls must match a serial
+// reference run.
 func TestClusterHashesWorkerCountInvariance(t *testing.T) {
 	hashes := corpus(600, 20)
-	var ref Result
-	for _, workers := range []int{1, 2, 8, 16} {
-		res, idx, err := ClusterHashes(hashes, PaperParams, workers)
-		if err != nil {
-			t.Fatal(err)
+	ref, _, err := ClusterHashes(hashes, PaperParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, callers := range []int{1, 2, 8, 16} {
+		results := make([]Result, callers)
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[c], _, errs[c] = ClusterHashes(hashes, PaperParams)
+			}()
 		}
-		if workers == 1 {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Labels, ref.Labels) {
-			t.Fatalf("workers=%d: labels differ from workers=1", workers)
-		}
-		if res.NumClusters != ref.NumClusters {
-			t.Fatalf("workers=%d: %d clusters, want %d", workers, res.NumClusters, ref.NumClusters)
-		}
-		st := idx.Stats()
-		if st.DistanceCalls != ref.DistanceCalls {
-			t.Fatalf("workers=%d: %d distance calls, want %d (one probe per distinct hash at any width)",
-				workers, st.DistanceCalls, ref.DistanceCalls)
+		wg.Wait()
+		for c, res := range results {
+			if errs[c] != nil {
+				t.Fatalf("callers=%d, caller %d: %v", callers, c, errs[c])
+			}
+			if !reflect.DeepEqual(res.Labels, ref.Labels) {
+				t.Fatalf("callers=%d, caller %d: labels differ from the serial run", callers, c)
+			}
+			if res.NumClusters != ref.NumClusters {
+				t.Fatalf("callers=%d, caller %d: %d clusters, want %d", callers, c, res.NumClusters, ref.NumClusters)
+			}
+			if res.DistanceCalls != ref.DistanceCalls {
+				t.Fatalf("callers=%d, caller %d: %d distance calls, want %d",
+					callers, c, res.DistanceCalls, ref.DistanceCalls)
+			}
 		}
 	}
 }
@@ -81,7 +92,7 @@ func TestMultiIndexLinearFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, idx, err := ClusterHashes(hashes, params, 2)
+	res, idx, err := ClusterHashes(hashes, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,7 @@ func TestMultiIndexMemoizationSharesDuplicates(t *testing.T) {
 	for i := range hashes {
 		hashes[i] = base[i%len(base)]
 	}
-	res, idx, err := ClusterHashes(hashes, PaperParams, 1)
+	res, idx, err := ClusterHashes(hashes, PaperParams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +185,7 @@ func TestMultiIndexMemoizationSharesDuplicates(t *testing.T) {
 // leaves on its index at the paper's eps.
 func TestMultiIndexStats(t *testing.T) {
 	hashes := corpus(300, 10)
-	_, idx, err := ClusterHashes(hashes, PaperParams, 2)
+	_, idx, err := ClusterHashes(hashes, PaperParams)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campstore"
 	"repro/internal/cluster"
 	"repro/internal/crawler"
 	"repro/internal/phash"
@@ -203,6 +204,28 @@ func TestDiscoverRejectsBadParams(t *testing.T) {
 		p := &Pipeline{Cfg: PipelineConfig{Discovery: params}}
 		if _, err := p.RunStream(context.Background(), StreamOptions{}); err == nil || !strings.Contains(err.Error(), "eps") {
 			t.Errorf("RunStream eps=%v: error %v, want an eps rejection", eps, err)
+		}
+	}
+}
+
+// TestDiscoverRejectsEmptyE2LD feeds Discover a hand-built crawl whose
+// second session holds a hashed landing with no e2LD (as a session
+// file from outside the crawler can). Discovery must fail and name
+// that session and landing, with or without a shared store.
+func TestDiscoverRejectsEmptyE2LD(t *testing.T) {
+	sessions := []*crawler.Session{
+		{Landings: []crawler.Landing{{E2LD: "a.com", Hashed: true, Hash: phash.Hash{Hi: 1}}}},
+		{Landings: []crawler.Landing{
+			{E2LD: "b.com", Hashed: true, Hash: phash.Hash{Hi: 2}},
+			{E2LD: "", Hashed: true, Hash: phash.Hash{Hi: 3}},
+		}},
+	}
+	shared := PaperDiscoveryParams
+	shared.Store = campstore.New(campstore.Config{})
+	for name, params := range map[string]DiscoveryParams{"private": PaperDiscoveryParams, "shared": shared} {
+		_, err := Discover(sessions, params)
+		if err == nil || !strings.Contains(err.Error(), "session 1 landing 1") {
+			t.Errorf("%s store: error %v, want one naming session 1 landing 1", name, err)
 		}
 	}
 }

@@ -22,8 +22,9 @@ type DiscoveryParams struct {
 	// MinDomains is θc: clusters spanning fewer distinct e2LDs are
 	// discarded (the paper sets 5).
 	MinDomains int
-	// Workers is the parallelism of batch clustering's index probes
-	// (the fallback path; default 1). Any value yields identical clusters.
+	// Workers was the width of batch clustering's index probes.
+	//
+	// Deprecated: no effect; removed after ROADMAP item 1.
 	Workers int
 	// Obs receives discovery metrics (observations, DBSCAN distance
 	// calls, index probe/candidate counts, cluster and θc-filter
@@ -33,9 +34,9 @@ type DiscoveryParams struct {
 	// observations are appended to (as crawl events) and clustered
 	// through. A long-lived owner (the seacma-serve daemon) passes one
 	// per world so repeat runs pay only for *new* observations; when
-	// nil, Discover creates a private store, so the incremental engine
-	// is the default clustering path. Labels are identical to the batch
-	// path by the campstore property/oracle guarantees.
+	// nil, Discover creates a private store. Either way the labels
+	// come from a store; they equal batch DBSCAN's by the campstore
+	// property/oracle guarantees.
 	Store *campstore.Store
 }
 
@@ -156,7 +157,8 @@ type DiscoveryResult struct {
 	DistanceCalls int64
 	// Store is the incremental campaign store the run clustered
 	// through, with the triaged campaigns registered for live
-	// projection; nil when the legacy batch path ran.
+	// projection; nil when params.Store declined the run and a fresh
+	// private store labelled it instead.
 	Store *campstore.Store
 
 	// campaigns/benign cache the triage partition; Clusters is immutable
@@ -194,90 +196,119 @@ func (r *DiscoveryResult) BenignClusters() []*DiscoveredCampaign {
 	return r.benign
 }
 
-// discoverIncremental appends the observations to the store as crawl
-// events and derives labels from the incremental state. It declines
-// (returns false) when the store clusters under different parameters
-// or its crawl view is not exactly this run's observation sequence —
-// the caller then falls back to the batch path.
-func discoverIncremental(st *campstore.Store, obs []Observation, params DiscoveryParams) (cluster.Result, bool) {
-	if st.Params() != params.Cluster {
-		return cluster.Result{}, false
+// Discover runs clustering ⑤ and the θc filter on crawl output, then
+// triages each surviving cluster (Section 4.3). Clustering always runs
+// through a campaign store: params.Store, or a private one.
+func Discover(sessions []*crawler.Session, params DiscoveryParams) (*DiscoveryResult, error) {
+	if err := params.Cluster.Validate(); err != nil {
+		return nil, Errorf("clustering: %v", err)
 	}
+	obs := CollectObservations(sessions)
+	run := newStoreRun(params)
+	run.append(observationEvents(obs))
+	res, store, err := run.labels(obs, params)
+	if err != nil {
+		return nil, err
+	}
+	return assembleDiscovery(sessions, obs, res, store, params)
+}
+
+// observationEvents is the observation sequence as crawl events.
+func observationEvents(obs []Observation) []campstore.Event {
 	events := make([]campstore.Event, len(obs))
 	for i, o := range obs {
 		events[i] = campstore.Event{Hash: o.Hash, E2LD: o.E2LD, Source: campstore.SourceCrawl}
 	}
-	br, err := st.AppendBatch(events)
-	if err != nil {
-		return cluster.Result{}, false
+	return events
+}
+
+// storeRun appends one run's observation sequence to a campaign store
+// and reads the run's labels back. Discover appends the sequence as one
+// tranche; the streaming coordinator appends it session by session in
+// task order, which leaves the store in the same state.
+type storeRun struct {
+	st *campstore.Store
+	// ok stays true while the store clusters under the run's parameters
+	// and every append succeeded.
+	ok bool
+	br campstore.BatchResult // summed over the run's appends
+}
+
+// newStoreRun targets params.Store, or a private store when it is nil.
+// A shared store clustering under other parameters takes no appends.
+func newStoreRun(params DiscoveryParams) *storeRun {
+	st := params.Store
+	if st == nil {
+		st = campstore.New(campstore.Config{Params: params.Cluster, Obs: params.Obs})
 	}
-	if !st.DiscoveryMatches(len(obs), func(i int) (phash.Hash, string) {
+	return &storeRun{st: st, ok: st.Params() == params.Cluster}
+}
+
+// append adds one tranche of the run's events; after a failed append
+// the run appends nothing more and its store declines the run.
+func (r *storeRun) append(events []campstore.Event) {
+	if !r.ok || len(events) == 0 {
+		return
+	}
+	br, err := r.st.AppendBatch(events)
+	if err != nil {
+		r.ok = false
+		return
+	}
+	r.br.DistanceCalls += br.DistanceCalls
+	r.br.Probes += br.Probes
+	r.br.Candidates += br.Candidates
+}
+
+// read returns the store's discovery labels when its crawl view is
+// exactly the run's observation sequence; false means the store
+// declines the run.
+func (r *storeRun) read(obs []Observation) (cluster.Result, bool) {
+	if !r.ok || !r.st.DiscoveryMatches(len(obs), func(i int) (phash.Hash, string) {
 		return obs[i].Hash, obs[i].E2LD
 	}) {
 		return cluster.Result{}, false
 	}
-	labels, n := st.DiscoveryLabels()
+	labels, n := r.st.DiscoveryLabels()
 	if len(labels) != len(obs) {
 		// A concurrent writer slipped crawl events into the shared store
 		// between the coherence check and the snapshot read; the labels
 		// no longer describe this run's observation sequence.
 		return cluster.Result{}, false
 	}
-	params.Obs.Counter("discovery_index_probes_total").Add(br.Probes)
-	params.Obs.Counter("discovery_index_candidates_total").Add(br.Candidates)
-	return cluster.Result{Labels: labels, NumClusters: n, DistanceCalls: br.DistanceCalls}, true
+	return cluster.Result{Labels: labels, NumClusters: n, DistanceCalls: r.br.DistanceCalls}, true
 }
 
-// Discover runs clustering ⑤ and the θc filter on crawl output, then
-// triages each surviving cluster (Section 4.3). Clustering runs
-// through the incremental campaign store (params.Store, or a private
-// one); batch clustering is the fallback when a shared store is
-// unusable for this run.
-func Discover(sessions []*crawler.Session, params DiscoveryParams) (*DiscoveryResult, error) {
-	if err := params.Cluster.Validate(); err != nil {
-		return nil, Errorf("clustering: %v", err)
-	}
-	obs := CollectObservations(sessions)
-	var res cluster.Result
-	var store *campstore.Store
-	st := params.Store
-	if st == nil {
-		st = campstore.New(campstore.Config{Params: params.Cluster, Obs: params.Obs})
-	}
-	if r, ok := discoverIncremental(st, obs, params); ok {
-		res, store = r, st
-	} else if params.Store != nil {
-		params.Obs.Counter("discovery_incremental_fallback_total").Inc()
-	}
-	if store == nil {
-		r, err := clusterBatch(obs, params)
-		if err != nil {
-			return nil, err
+// labels returns the run's labels and the store that holds them. When
+// the store declines the run (other parameters, a failed append, or a
+// crawl view that is not this run's observations), the whole sequence
+// is re-appended as one tranche into a fresh private store and labelled
+// there; the result then attaches no store. The private store gets no
+// registry, so it cannot overwrite a shared store's campstore_* gauges.
+func (r *storeRun) labels(obs []Observation, params DiscoveryParams) (cluster.Result, *campstore.Store, error) {
+	run, store := r, r.st
+	res, ok := run.read(obs)
+	if !ok {
+		if params.Store != nil {
+			params.Obs.Counter("discovery_incremental_fallback_total").Inc()
 		}
-		res = r
+		run, store = &storeRun{st: campstore.New(campstore.Config{Params: params.Cluster}), ok: true}, nil
+		br, err := run.st.AppendBatch(observationEvents(obs))
+		if err != nil {
+			if i := len(br.Results); i < len(obs) {
+				ref := obs[i].Refs[0]
+				return cluster.Result{}, nil, Errorf("clustering: session %d landing %d: %v", ref.Session, ref.Landing, err)
+			}
+			return cluster.Result{}, nil, Errorf("clustering: %v", err)
+		}
+		run.br = br
+		if res, ok = run.read(obs); !ok {
+			return cluster.Result{}, nil, Errorf("clustering: private store does not hold the run's observations")
+		}
 	}
-	return assembleDiscovery(sessions, obs, res, store, params)
-}
-
-// clusterBatch is the from-scratch clustering fallback: a fresh
-// pigeonhole index + batch DBSCAN over the full observation sequence.
-func clusterBatch(obs []Observation, params DiscoveryParams) (cluster.Result, error) {
-	hashes := make([]phash.Hash, len(obs))
-	for i, o := range obs {
-		hashes[i] = o.Hash
-	}
-	workers := params.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	res, idx, err := cluster.ClusterHashes(hashes, params.Cluster, workers)
-	if err != nil {
-		return cluster.Result{}, Errorf("clustering: %v", err)
-	}
-	ist := idx.Stats()
-	params.Obs.Counter("discovery_index_probes_total").Add(ist.Probes)
-	params.Obs.Counter("discovery_index_candidates_total").Add(ist.Candidates)
-	return res, nil
+	params.Obs.Counter("discovery_index_probes_total").Add(run.br.Probes)
+	params.Obs.Counter("discovery_index_candidates_total").Add(run.br.Candidates)
+	return res, store, nil
 }
 
 // assembleDiscovery is everything downstream of clustering: the θc

@@ -6,11 +6,8 @@ import (
 	"sync"
 
 	"repro/internal/btgraph"
-	"repro/internal/campstore"
-	"repro/internal/cluster"
 	"repro/internal/crawler"
 	"repro/internal/obs"
-	"repro/internal/phash"
 	"repro/internal/urlx"
 )
 
@@ -128,14 +125,9 @@ type streamCoordinator struct {
 	patterns *urlx.PatternSet
 
 	// Discovery state, mirroring Pipeline.Discover's defaults.
-	params DiscoveryParams
-	store  *campstore.Store // nil: declined up front
-	// streamOK stays true while every per-session append succeeded; a
-	// failed append flips it and finishDiscovery falls back to batch
-	// clustering (Discover's behaviour on AppendBatch error).
-	streamOK bool
-	collect  *obsCollector
-	batch    campstore.BatchResult // summed over per-session appends
+	params  DiscoveryParams
+	run     *storeRun
+	collect *obsCollector
 
 	total    int
 	sessions []*crawler.Session
@@ -145,27 +137,16 @@ type streamCoordinator struct {
 
 func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent)) *streamCoordinator {
 	params := p.discoveryParams()
-	sc := &streamCoordinator{
+	return &streamCoordinator{
 		p:        p,
 		emit:     emit,
 		tracker:  p.Cfg.Obs.StageTracker(),
 		patterns: PatternSetFromSeeds(p.Cfg.Seeds),
 		params:   params,
+		run:      newStoreRun(params),
 		collect:  newObsCollector(),
 		graphs:   map[int]*btgraph.Graph{},
 	}
-	st := params.Store
-	if st == nil {
-		st = campstore.New(campstore.Config{Params: params.Cluster, Obs: params.Obs})
-	}
-	// Mirror Discover's up-front decline: a shared store clustering
-	// under different parameters takes no appends, and the run
-	// batch-clusters instead.
-	if st.Params() == params.Cluster {
-		sc.store = st
-		sc.streamOK = true
-	}
-	return sc
 }
 
 // consume drives the session stream to completion: an analysis pool
@@ -252,62 +233,26 @@ func (sc *streamCoordinator) commitSession(w sessionWork) {
 	sc.attrs = append(sc.attrs, w.attrs...)
 	sc.tracker.Enter("discover")
 	events := sc.collect.addSession(w.idx, w.s)
-	if sc.store != nil && sc.streamOK && len(events) > 0 {
-		// Committing per-session event batches in task order reproduces
-		// exactly the single batch Discover appends: the store
-		// log, labels and snapshots end up identical.
-		br, err := sc.store.AppendBatch(events)
-		if err != nil {
-			sc.streamOK = false
-		} else {
-			sc.batch.DistanceCalls += br.DistanceCalls
-			sc.batch.Probes += br.Probes
-			sc.batch.Candidates += br.Candidates
-		}
-	}
+	// Committing per-session event batches in task order reproduces
+	// exactly the single batch Discover appends: the store log, labels
+	// and snapshots end up identical.
+	sc.run.append(events)
 	sc.tracker.Exit("discover")
 	sc.emit(ProgressEvent{Phase: "crawl", Committed: w.idx + 1, Total: sc.total})
 }
 
 // finishDiscovery runs the θc triage tail once the stream is closed.
-// The incremental labels (when the stream appends all succeeded and the
-// store's crawl view matches this run's observation sequence) feed the
-// same assembleDiscovery tail as Discover; otherwise the run
-// batch-clusters the accumulated observations, mirroring Discover's
-// fallback exactly.
+// Labels come from the same storeRun.labels as Discover's, fallback
+// included, and feed the same assembleDiscovery tail.
 func (sc *streamCoordinator) finishDiscovery() (*DiscoveryResult, error) {
 	defer sc.p.Cfg.Obs.StartSpan("discover").End()
 	sc.tracker.Enter("discover")
 	defer sc.tracker.Exit("discover")
 
 	obs := sc.collect.obs
-	params := sc.params
-	store := sc.store
-	var res cluster.Result
-	derived := false
-	if store != nil && sc.streamOK {
-		if store.DiscoveryMatches(len(obs), func(i int) (phash.Hash, string) {
-			return obs[i].Hash, obs[i].E2LD
-		}) {
-			labels, n := store.DiscoveryLabels()
-			if len(labels) == len(obs) {
-				params.Obs.Counter("discovery_index_probes_total").Add(sc.batch.Probes)
-				params.Obs.Counter("discovery_index_candidates_total").Add(sc.batch.Candidates)
-				res = cluster.Result{Labels: labels, NumClusters: n, DistanceCalls: sc.batch.DistanceCalls}
-				derived = true
-			}
-		}
+	res, store, err := sc.run.labels(obs, sc.params)
+	if err != nil {
+		return nil, err
 	}
-	if !derived {
-		store = nil
-		if params.Store != nil {
-			params.Obs.Counter("discovery_incremental_fallback_total").Inc()
-		}
-		r, err := clusterBatch(obs, params)
-		if err != nil {
-			return nil, err
-		}
-		res = r
-	}
-	return assembleDiscovery(sc.sessions, obs, res, store, params)
+	return assembleDiscovery(sc.sessions, obs, res, store, sc.params)
 }

@@ -124,10 +124,9 @@ func QuickExperimentConfig() ExperimentConfig {
 	return cfg
 }
 
-// SetWorkers sets the worker count of every parallel stage — crawl farm,
-// milking engine, discovery neighbourhood precompute — in one call (the
-// cmd tools' -workers flag lands here). Reports are byte-identical for
-// any value.
+// SetWorkers sets the worker count of every parallel stage — the crawl
+// farm and the milking engine — in one call (the cmd tools' -workers
+// flag lands here). Reports are byte-identical for any value.
 func (c *ExperimentConfig) SetWorkers(n int) {
 	if n < 1 {
 		n = 1

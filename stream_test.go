@@ -112,3 +112,63 @@ func TestStreamingOverlapCounterNonzero(t *testing.T) {
 		t.Fatalf("stage_active = %d after the run, want 0", v)
 	}
 }
+
+// TestReportCoherenceFallback covers the other way a shared store
+// declines a run: it clusters under the run's parameters, but its crawl
+// view holds a foreign observation, so it is not this run's observation
+// sequence. Discovery then labels through a fresh private store,
+// attaches no store and counts one fallback — through the streaming
+// coordinator (Run) and the per-stage Pipeline.Discover alike — and the
+// report is still the pinned one.
+func TestReportCoherenceFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline runs")
+	}
+	runs := []struct {
+		name string
+		run  func(*seacma.Experiment) (*core.RunResult, error)
+	}{
+		{"Run", func(exp *seacma.Experiment) (*core.RunResult, error) {
+			res, err := exp.Run()
+			if err != nil {
+				return nil, err
+			}
+			return res.RunResult, nil
+		}},
+		{"per-stage", func(exp *seacma.Experiment) (*core.RunResult, error) {
+			p := exp.Pipeline
+			out := &core.RunResult{}
+			out.PublisherHosts, out.NetworksByHost = p.Reverse()
+			out.Sessions = p.Crawl(out.NetworksByHost)
+			disc, err := p.Discover(out.Sessions)
+			if err != nil {
+				return nil, err
+			}
+			out.Discovery = disc
+			out.Attributions = p.Attribute(out.Sessions)
+			out.Sources, out.Milking, err = p.Milk(out.Sessions, disc)
+			return out, err
+		}},
+	}
+	for _, r := range runs {
+		cfg := reportConfig(1, 4)
+		cfg.Obs = obs.New()
+		cfg.Campaigns = campstore.New(campstore.Config{Params: cluster.PaperParams})
+		foreign := campstore.Event{Hash: phash.Hash{Hi: 0xfeed}, E2LD: "foreign.example", Source: campstore.SourceCrawl}
+		if _, err := cfg.Campaigns.Append(foreign); err != nil {
+			t.Fatal(err)
+		}
+		exp := seacma.NewExperiment(cfg)
+		res, err := r.run(exp)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if res.Discovery.Store != nil {
+			t.Errorf("%s: coherence fallback attached a store", r.name)
+		}
+		if got := cfg.Obs.Counter("discovery_incremental_fallback_total").Value(); got != 1 {
+			t.Errorf("%s: discovery_incremental_fallback_total = %d, want 1", r.name, got)
+		}
+		assertGolden(t, r.name, 1, serializeReport(t, exp, res))
+	}
+}
