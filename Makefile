@@ -20,7 +20,7 @@ test:
 # The concurrency-bearing packages: internal/obs (lock-free counters,
 # span list), internal/crawler (worker farm), internal/core (pipeline +
 # batched milking engine + persistent milking pool), internal/cluster
-# (band-sharded index, concurrent batch-clustering callers),
+# (index under one RWMutex, concurrent batch-clustering callers),
 # internal/vclock (batch-tick API), the capture fast path shared across
 # worker pools (internal/imaging buffer pools, internal/screenshot
 # capture cache, internal/phash fused hashing), the script fast path
@@ -29,7 +29,7 @@ test:
 # store + worker pool + HTTP handlers), the sharded blacklist
 # (internal/gsb concurrent observe/lookup under the milker's poll
 # fan-out), the incremental campaign store (internal/campstore
-# concurrent appenders/readers against one mutex-guarded store), the
+# queued appenders and lock-free snapshot readers), the
 # synthetic web the parallel crawl hits (internal/secamp concurrent
 # attack-domain minting, internal/adnet request-keyed fills), plus the
 # root package (worker-count determinism contract on the serialized
@@ -76,8 +76,8 @@ bench-obs:
 # (parse-per-run vs cached program on a reused interpreter), the
 # incremental campaign store (append / merge / full-rebuild, each
 # reporting its distance-calls), and the concurrent store surface
-# (AppendBatch scaling across 1/4/8 writers plus a read-heavy mix
-# against the lock-free snapshots).
+# (AppendBatch from 1/4/8 writers queued on the writer lock, plus a
+# read-heavy mix against the lock-free snapshots).
 # -benchtime 1x keeps a baseline run under a minute; these are
 # regression sentinels, not statistically tight measurements.
 BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_
@@ -116,6 +116,9 @@ bench-baseline:
 # skipped on hosts with fewer than 4 CPUs — probes cannot run in
 # parallel without cores to run them on, so the ratio is meaningless
 # there.
+# The store guard runs on any host: eight appenders queued on the
+# campaign store's writer lock must ingest the corpus in at most 1.25x
+# the single-writer time (queueing must not collapse throughput).
 # The allocation guards (incremental append distance calls, cold
 # rng.Split bytes) count work, not time, so they run on any host.
 bench-check:
@@ -145,21 +148,16 @@ bench-check:
 	    exit (ratio < 2.0) ? 1 : 0 }' \
 	    || { echo "FAIL: Milking_W8 not >=2x faster than W1 — probe fan-out lost its parallel efficiency"; exit 1; }; \
 	fi
-	@cpus=$$(nproc 2>/dev/null || echo 1); \
-	if [ "$$cpus" -lt 4 ]; then \
-	  echo "SKIP: store append scaling guard needs >=4 CPUs (have $$cpus)"; \
-	else \
-	  $(GO) test -run XXX -bench 'BenchmarkStoreAppend_W[18]$$' -benchtime 1x . | tee BENCH_store.txt; \
-	  w1=$$(awk '$$1 ~ /^BenchmarkStoreAppend_W1(-[0-9]+)?$$/ { print $$3 }' BENCH_store.txt); \
-	  w8=$$(awk '$$1 ~ /^BenchmarkStoreAppend_W8(-[0-9]+)?$$/ { print $$3 }' BENCH_store.txt); \
-	  rm -f BENCH_store.txt; \
-	  if [ -z "$$w1" ] || [ -z "$$w8" ]; then echo "could not extract store ns/op (w1=$$w1 w8=$$w8)"; exit 1; fi; \
-	  awk -v w1="$$w1" -v w8="$$w8" 'BEGIN { \
-	    ratio = w1 / w8; \
-	    printf "store append W1 %s ns/op, W8 %s ns/op, speedup %.2fx (need >=2x)\n", w1, w8, ratio; \
-	    exit (ratio < 2.0) ? 1 : 0 }' \
-	    || { echo "FAIL: StoreAppend_W8 not >=2x faster than W1 — band-sharded index lost its write scaling"; exit 1; }; \
-	fi
+	@$(GO) test -run XXX -bench 'BenchmarkStoreAppend_W[18]$$' -benchtime 20x . | tee BENCH_store.txt; \
+	w1=$$(awk '$$1 ~ /^BenchmarkStoreAppend_W1(-[0-9]+)?$$/ { print $$3 }' BENCH_store.txt); \
+	w8=$$(awk '$$1 ~ /^BenchmarkStoreAppend_W8(-[0-9]+)?$$/ { print $$3 }' BENCH_store.txt); \
+	rm -f BENCH_store.txt; \
+	if [ -z "$$w1" ] || [ -z "$$w8" ]; then echo "could not extract store ns/op (w1=$$w1 w8=$$w8)"; exit 1; fi; \
+	awk -v w1="$$w1" -v w8="$$w8" 'BEGIN { \
+	  ratio = w8 / w1; \
+	  printf "store append W1 %s ns/op, W8 %s ns/op, W8/W1 %.2f (limit 1.25)\n", w1, w8, ratio; \
+	  exit (ratio > 1.25) ? 1 : 0 }' \
+	  || { echo "FAIL: StoreAppend_W8 took >1.25x W1 — writers queued on the store's writer lock collapsed"; exit 1; }
 	@$(GO) test -run XXX -bench 'BenchmarkIncrementalCluster_(Append|FullRebuild)$$' -benchtime 1x . | tee BENCH_incr.txt; \
 	app=$$(awk '$$1 ~ /^BenchmarkIncrementalCluster_Append(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "distance-calls") print $$i }' BENCH_incr.txt); \
 	reb=$$(awk '$$1 ~ /^BenchmarkIncrementalCluster_FullRebuild(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "distance-calls") print $$i }' BENCH_incr.txt); \

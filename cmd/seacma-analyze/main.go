@@ -108,8 +108,11 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	if err := writeMetrics(reg, ac.metrics, stderr); err != nil {
+	if err := reg.WriteFile(ac.metrics); err != nil {
 		return err
+	}
+	if ac.metrics != "" {
+		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", ac.metrics)
 	}
 
 	fmt.Fprintf(stdout, "clusters: %d (noise %d, below-θc %d)\n", len(disc.Clusters), disc.NoiseCount, disc.FilteredClusters)
@@ -128,26 +131,5 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 				c.ID, c.Signals.Pages, len(c.Domains), c.Signals.MeanParkedScore())
 		}
 	}
-	return nil
-}
-
-// writeMetrics dumps the registry snapshot to path (no-op when either
-// is unset). Shared shape across the seacma binaries.
-func writeMetrics(reg *obs.Registry, path string, stderr io.Writer) error {
-	if reg == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", path)
 	return nil
 }

@@ -121,8 +121,11 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		fmt.Fprintf(stderr, "wrote %d sessions to %s\n", len(res.Sessions), cc.outFile)
 	}
 
-	if err := writeMetrics(cc.exp.Obs, cc.metrics, stderr); err != nil {
+	if err := cc.exp.Obs.WriteFile(cc.metrics); err != nil {
 		return err
+	}
+	if cc.metrics != "" {
+		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", cc.metrics)
 	}
 
 	if cc.asJSON {
@@ -152,27 +155,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		len(res.Discovery.BenignClusters()), res.Discovery.FilteredClusters)
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, seacma.FormatTable1(res.Table1()))
-	return nil
-}
-
-// writeMetrics dumps the registry snapshot to path (no-op when either
-// is unset). Shared shape across the seacma binaries.
-func writeMetrics(reg *obs.Registry, path string, stderr io.Writer) error {
-	if reg == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", path)
 	return nil
 }
 

@@ -98,8 +98,11 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 	m := res.Milking
 
-	if err := writeMetrics(mc.exp.Obs, mc.metrics, stderr); err != nil {
+	if err := mc.exp.Obs.WriteFile(mc.metrics); err != nil {
 		return err
+	}
+	if mc.metrics != "" {
+		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", mc.metrics)
 	}
 
 	fmt.Fprintf(stdout, "milking: %d sources x %d virtual days -> %d sessions (wall %v)\n",
@@ -127,27 +130,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		fmt.Fprintf(stdout, "\nafter the 3-month rescan: %d/%d malicious (%.0f%%), %d flagged by >=15 AVs (%.0f%%)\n",
 			mal, len(m.Files), pct(mal, len(m.Files)), strong, pct(strong, len(m.Files)))
 	}
-	return nil
-}
-
-// writeMetrics dumps the registry snapshot to path (no-op when either
-// is unset).
-func writeMetrics(reg *obs.Registry, path string, stderr io.Writer) error {
-	if reg == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", path)
 	return nil
 }
 

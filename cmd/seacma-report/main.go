@@ -118,8 +118,11 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		fmt.Fprintf(stderr, "wrote machine-readable report to %s\n", rc.jsonFile)
 	}
 
-	if err := writeMetrics(rc.exp.Obs, rc.metrics, stderr); err != nil {
+	if err := rc.exp.Obs.WriteFile(rc.metrics); err != nil {
 		return err
+	}
+	if rc.metrics != "" {
+		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", rc.metrics)
 	}
 
 	show := func(n int) bool { return rc.table == 0 || rc.table == n }
@@ -172,27 +175,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 			fmt.Fprintf(stdout, "    %-8s snippet var %-16q +%d publishers\n", d.PathToken, d.SnippetVar, len(d.Publishers))
 		}
 	}
-	return nil
-}
-
-// writeMetrics dumps the registry snapshot to path (no-op when either
-// is unset).
-func writeMetrics(reg *obs.Registry, path string, stderr io.Writer) error {
-	if reg == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", path)
 	return nil
 }
 

@@ -135,34 +135,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	<-serveErr // http.ErrServerClosed once Serve unwinds
 
-	if err := flushMetrics(reg, sc.metrics, stderr); err != nil {
+	if err := reg.WriteFile(sc.metrics); err != nil {
 		return err
+	}
+	if sc.metrics != "" {
+		fmt.Fprintf(stderr, "wrote final metrics snapshot to %s\n", sc.metrics)
 	}
 	fmt.Fprintf(stdout, "seacma-serve stopped: %d jobs submitted, %d completed, %d failed\n",
 		reg.CounterValue("serve_jobs_submitted_total"),
 		reg.CounterValue("serve_jobs_completed_total"),
 		reg.CounterValue("serve_jobs_failed_total"))
-	return nil
-}
-
-// flushMetrics writes the final registry snapshot to path (no-op when
-// unset) — the daemon-lifetime counterpart of the one-shot CLIs'
-// -metrics flag.
-func flushMetrics(reg *obs.Registry, path string, stderr io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote final metrics snapshot to %s\n", path)
 	return nil
 }

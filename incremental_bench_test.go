@@ -186,9 +186,9 @@ func BenchmarkIncrementalCluster_Merge(b *testing.B) {
 // benchmarkStoreAppend ingests the full steady-state corpus into a
 // fresh store with `workers` concurrent appenders, each submitting
 // every workers'th 25-event tranche via AppendBatch. One op = one full
-// corpus ingest, so ns/op across the W variants is the scaling curve
-// of the band-sharded index + staged batch commit: `make bench-check`
-// requires W8 ≥ 2x faster than W1 on hosts with ≥4 CPUs.
+// corpus ingest. Appenders queue on the store's writer lock, so the W
+// variants measure what queueing costs: `make bench-check` requires W8
+// to take at most 1.25x the W1 time, on any host.
 func benchmarkStoreAppend(b *testing.B, workers int) {
 	corpus := incrementalCorpus(incrClusters, incrPerClust, incrNoise)
 	var tranches [][]campstore.Event

@@ -39,19 +39,16 @@ type registeredCampaign struct {
 // it immediately. The representative observation must already be in
 // the store — discovery appends its events before triage.
 func (s *Store) RegisterCampaign(c Campaign) error {
-	s.stateMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	pid, ok := s.pointIdx[pointKey{c.RepHash, c.RepE2LD}]
 	if !ok {
-		s.stateMu.Unlock()
 		return fmt.Errorf("campstore: campaign %d representative (%s, %s) not in store",
 			c.ID, c.RepHash, c.RepE2LD)
 	}
 	c.ScamPhones = append([]string(nil), c.ScamPhones...)
 	s.campaigns[c.ID] = registeredCampaign{Campaign: c, pid: pid}
-	s.gen.Add(1)
-	sn := s.buildSnapshotLocked()
-	s.stateMu.Unlock()
-	s.publish(sn)
+	s.publishLocked()
 	return nil
 }
 

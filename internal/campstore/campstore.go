@@ -57,34 +57,24 @@
 //
 // # Concurrency
 //
-// A Store is safe for concurrent use, and writers no longer serialize
-// on one store-wide mutex: AppendBatch stages each tranche through
-// three short critical sections on independent locks, and the hot read
-// endpoints take no lock at all. See DESIGN.md §10 for the full
-// model; the shape is:
+// A Store is safe for concurrent use, with one writer at a time.
+// AppendBatch runs start to finish under the store's writer mutex
+// (validate, dedup, log, index insert and probe, edge wiring, commit,
+// oracle cadence, snapshot build and store), and so does
+// RegisterCampaign; concurrent writers queue on it. Each write ends by
+// publishing an immutable snapshot through an atomic pointer, and the
+// read endpoints (Events, EventCount, labels, LiveCampaigns, Stats,
+// RunOracle) serve that snapshot without taking the lock. See
+// DESIGN.md §10.
 //
-//   - logMu guards only dedup + sequence assignment + the chunked
-//     append-only event log (readers of the log are lock-free);
-//   - new distinct hashes are claimed, registered and probed against
-//     the band-sharded cluster.DynamicIndex with no store-wide lock —
-//     the index's per-band locks are the only serialization, and
-//     Hamming verification holds no locks at all;
-//   - stateMu guards the clustering state (adjacency, counts,
-//     union-find, views) for two short sections per tranche: edge
-//     wiring, then per-event commits in tranche order;
-//   - every committed tranche publishes an immutable snapshot through
-//     an atomic pointer; Events, LiveCampaigns, labels, Stats and the
-//     on-demand oracle read the snapshot and never block appends.
-//
-// Label equivalence is preserved under concurrency because commits are
-// still serialized (by stateMu) into *some* arrival order, and the
-// incremental state is maintained exactly for that order — the batch
-// oracle holds after every commit, whichever interleaving won.
+// The writer inserts and probes a tranche's new distinct hashes one at
+// a time, so each ε-edge is found exactly once, by the probe of the
+// newer hash, and the state after every write is exactly that of a
+// serial append-by-append run in lock-acquisition order.
 package campstore
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,7 +121,7 @@ type Config struct {
 	// incremental labels diverge.
 	OracleEvery int
 	// Obs receives the cluster_incremental_* counters, the campstore_*
-	// gauges/histograms and the index shard probe counter. Nil = no-op.
+	// gauges/histograms and the index band probe counter. Nil = no-op.
 	Obs *obs.Registry
 }
 
@@ -235,58 +225,18 @@ type pointKey struct {
 	e2ld string
 }
 
-// logChunkBits sizes the chunks of the append-only event log: 512
-// events per chunk.
-const logChunkBits = 9
-
-type logChunk [1 << logChunkBits]LoggedEvent
-
-// eventLog is a chunked append-only log. Appends are serialized by the
-// store's logMu; reads are lock-free. Readers must load the length
-// FIRST and the chunk directory second: the writer installs a grown
-// directory before advancing the length, so a directory loaded after
-// the length always covers every cell below it.
-type eventLog struct {
-	chunks atomic.Pointer[[]*logChunk]
-	n      atomic.Int64
-}
-
-func (l *eventLog) len() int { return int(l.n.Load()) }
-
-func (l *eventLog) at(chunks *[]*logChunk, i int64) *LoggedEvent {
-	return &(*chunks)[i>>logChunkBits][i&(1<<logChunkBits-1)]
-}
-
-// append stores ev at the next slot. Caller must hold logMu.
-func (l *eventLog) append(ev LoggedEvent) {
-	i := l.n.Load()
-	ci, off := int(i>>logChunkBits), i&(1<<logChunkBits-1)
-	chunks := l.chunks.Load()
-	if chunks == nil || ci == len(*chunks) {
-		var next []*logChunk
-		if chunks != nil {
-			next = append(next, *chunks...)
-		}
-		next = append(next, new(logChunk))
-		l.chunks.Store(&next)
-		chunks = &next
-	}
-	(*chunks)[ci][off] = ev
-	l.n.Store(i + 1)
-}
-
 // snapshot is one immutable published state: everything the read
 // endpoints serve, captured at a commit boundary. Slices are either
 // freshly built at publish time or append-only prefixes whose cells
 // below the captured length never change, so sharing them is safe.
 type snapshot struct {
-	gen    uint64 // commit generation this snapshot reflects
-	events int    // log length at publish
+	gen uint64        // commit generation this snapshot reflects
+	log []LoggedEvent // event log (append-only prefix)
 
 	pointHash []int32 // point id -> hash id (append-only prefix)
 
-	discPts, livePts       []int32 // view point ids (append-only prefixes)
-	discLabels, liveLabels []int
+	discPts, livePts           []int32 // view point ids (append-only prefixes)
+	discLabels, liveLabels     []int
 	discClusters, liveClusters int
 
 	merges, cycles int64
@@ -302,34 +252,23 @@ type Store struct {
 
 	idx *cluster.DynamicIndex
 
-	// logMu guards dedup and sequence assignment. Lock hierarchy:
-	// logMu and stateMu are never held together; resolveMu is a leaf.
-	logMu sync.Mutex
+	// mu is the writer lock. It guards every field from here to snap,
+	// and is held for the whole of AppendBatch and RegisterCampaign.
+	mu    sync.Mutex
 	dedup map[eventKey]uint64
-	log   eventLog
-
-	// resolveMu guards the in-flight hash registry: hashes claimed in
-	// the index whose ε-adjacency is not wired into the store yet. A
-	// tranche that needs a hash claimed by another in-flight tranche
-	// waits on its channel (outside all locks) before committing.
-	resolveMu sync.Mutex
-	resolving map[phash.Hash]chan struct{}
-
-	// stateMu guards the clustering state and the campaign registry.
-	stateMu sync.Mutex
+	log   []LoggedEvent // append-only; snapshots share its prefix
 	// points are the distinct (hash, e2LD) pairs, in first-seen order.
 	pointHash   []int32
 	pointE2LD   []string
 	pointEvents []int32 // supporting (non-duplicate) events per point
 	pointIdx    map[pointKey]int32
 	// adj[h] lists the distinct hashes within ε of h (excluding h).
-	adj      [][]int32
-	edgeSeen map[uint64]struct{} // packed (min,max) hash id pairs wired
-	views    [numViews]viewState
+	adj       [][]int32
+	views     [numViews]viewState
 	campaigns map[int]registeredCampaign
 	appended  uint64 // non-duplicate events committed (oracle cadence)
+	gen       uint64 // published snapshots
 
-	gen        atomic.Uint64 // commit generations (written under stateMu)
 	snap       atomic.Pointer[snapshot]
 	oracleRuns atomic.Int64
 	poisoned   atomic.Pointer[poisonBox] // set once on oracle divergence
@@ -340,9 +279,7 @@ type Store struct {
 	metOracleRuns    *obs.Counter
 	metObservations  *obs.Gauge
 	metBatchSize     *obs.Histogram
-	metSnapAge       *obs.Gauge
 	metShardProbes   *obs.Counter
-	metLogWait       *obs.Counter
 	metStateWait     *obs.Counter
 }
 
@@ -359,9 +296,7 @@ func New(cfg Config) *Store {
 		oracleEvery: cfg.OracleEvery,
 		idx:         cluster.NewDynamicIndex(p.Eps),
 		dedup:       map[eventKey]uint64{},
-		resolving:   map[phash.Hash]chan struct{}{},
 		pointIdx:    map[pointKey]int32{},
-		edgeSeen:    map[uint64]struct{}{},
 		campaigns:   map[int]registeredCampaign{},
 
 		metEvents:        cfg.Obs.Counter("cluster_incremental_events_total"),
@@ -370,9 +305,7 @@ func New(cfg Config) *Store {
 		metOracleRuns:    cfg.Obs.Counter("cluster_incremental_oracle_runs_total"),
 		metObservations:  cfg.Obs.Gauge("campstore_observations"),
 		metBatchSize:     cfg.Obs.Histogram("campstore_append_batch_size"),
-		metSnapAge:       cfg.Obs.Gauge("campstore_snapshot_age_ticks"),
 		metShardProbes:   cfg.Obs.Counter("cluster_index_shard_probes_total"),
-		metLogWait:       cfg.Obs.Counter("campstore_log_lock_wait_ns_total"),
 		metStateWait:     cfg.Obs.Counter("campstore_state_lock_wait_ns_total"),
 	}
 	s.snap.Store(&snapshot{})
@@ -396,45 +329,39 @@ func (s *Store) Append(ev Event) (AppendResult, error) {
 
 // pendingEvent is one accepted non-duplicate event of a tranche.
 type pendingEvent struct {
-	ev Event
-	ri int // index into BatchResult.Results
+	ev  Event
+	ri  int   // index into BatchResult.Results
+	hid int32 // the event's distinct-hash id
+	// newHash marks the tranche's first event of a hash it introduced:
+	// the event that paid the index probe, at dist distance calls.
+	newHash bool
+	dist    int64
 }
 
-// hashResolve tracks one distinct hash of a tranche through the claim/
-// register/probe pipeline.
-type hashResolve struct {
-	h     phash.Hash
-	id    int32
-	owned bool            // this tranche claimed the hash
-	wait  chan struct{}   // non-nil: another in-flight tranche owns it
-	nbrs  []int32         // probe result (owned hashes only)
-	stats cluster.ProbeStats
-	spent bool // NewHash/DistanceCalls already attributed to an event
-}
-
-// AppendBatch appends a tranche of events. Events are deduplicated and
-// sequenced in input order; the whole tranche then flows through the
-// staged ingest (index claims/probes with no store lock, short wiring
-// and commit sections under stateMu) and publishes one snapshot.
-// Multiple AppendBatch calls run concurrently; each tranche's events
-// commit contiguously in input order.
+// AppendBatch appends a tranche of events under the writer lock.
+// Events are deduplicated and sequenced in input order, the tranche's
+// new distinct hashes are inserted into the index and probed one at a
+// time, the events commit in input order, and one snapshot is
+// published. Concurrent AppendBatch calls queue on the lock, so each
+// tranche's events commit contiguously.
 //
 // On a rejected event (empty E2LD) the earlier events of the tranche
 // are still appended and committed, Results covers exactly those, and
 // the error describes the rejected one.
 func (s *Store) AppendBatch(events []Event) (BatchResult, error) {
 	var out BatchResult
+	t0 := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.metStateWait.Add(time.Since(t0).Nanoseconds())
 	if err := s.poisonErr(); err != nil {
 		return out, err
 	}
 	s.metBatchSize.Observe(int64(len(events)))
 
-	// Stage 1 — log: dedup on the full tuple, assign sequence numbers.
+	// Log: dedup on the full tuple, assign sequence numbers.
 	var pend []pendingEvent
 	var firstErr error
-	t0 := time.Now()
-	s.logMu.Lock()
-	s.metLogWait.Add(time.Since(t0).Nanoseconds())
 	for _, ev := range events {
 		if ev.E2LD == "" {
 			firstErr = fmt.Errorf("campstore: event with empty e2LD")
@@ -449,89 +376,43 @@ func (s *Store) AppendBatch(events []Event) (BatchResult, error) {
 			out.Duplicates++
 			continue
 		}
-		seq := uint64(s.log.len() + 1)
-		s.log.append(LoggedEvent{Seq: seq, Event: ev})
+		seq := uint64(len(s.log) + 1)
+		s.log = append(s.log, LoggedEvent{Seq: seq, Event: ev})
 		s.dedup[k] = seq
 		out.Results = append(out.Results, AppendResult{Seq: seq})
 		pend = append(pend, pendingEvent{ev: ev, ri: len(out.Results) - 1})
 		out.Appended++
 	}
 	s.metEvents.Add(int64(out.Appended))
-	s.metObservations.Set(int64(s.log.len()))
-	s.logMu.Unlock()
-
+	s.metObservations.Set(int64(len(s.log)))
 	if len(pend) == 0 {
-		if firstErr == nil && out.Duplicates > 0 {
-			s.publishCurrent() // keep Stats().Events fresh for readers
-		}
 		return out, firstErr
 	}
 
-	// Stage 2 — resolve: claim each distinct hash of the tranche, and
-	// register + probe the ones this tranche owns. No store locks held;
-	// the band-sharded index is the only serialization.
-	resolves := make(map[phash.Hash]*hashResolve, len(pend))
-	var order []*hashResolve
-	for _, pe := range pend {
-		if _, ok := resolves[pe.ev.Hash]; ok {
+	// Index: insert each distinct hash the tranche introduces and probe
+	// it straight away, in tranche order. The probe finds every earlier
+	// hash within ε, so each edge is found once, by its newer endpoint.
+	for i := range pend {
+		pe := &pend[i]
+		id, isNew := s.idx.Insert(pe.ev.Hash)
+		pe.hid = id
+		if !isNew {
 			continue
 		}
-		hr := &hashResolve{h: pe.ev.Hash}
-		hr.id, hr.owned, hr.wait = s.claimHash(pe.ev.Hash)
-		resolves[pe.ev.Hash] = hr
-		order = append(order, hr)
-	}
-	var owned []*hashResolve
-	for _, hr := range order {
-		if hr.owned {
-			owned = append(owned, hr)
-		}
-	}
-	s.probeOwned(owned)
-	for _, hr := range owned {
-		out.Probes += hr.stats.Probes
-		out.Candidates += hr.stats.Candidates
+		nbrs, st := s.idx.ProbeNeighbours(pe.ev.Hash, id)
+		pe.newHash, pe.dist = true, st.DistanceCalls
+		out.Probes += st.Probes
+		out.Candidates += st.Candidates
+		s.wireHashLocked(id, nbrs)
 	}
 	s.metShardProbes.Add(out.Probes)
 
-	// Stage 3 — wire: splice the owned hashes' ε-edges into the
-	// adjacency and seed their counts, then release their pending
-	// channels. This section never waits on other tranches, which is
-	// what makes stage 4's cross-tranche waits deadlock-free.
-	if len(owned) > 0 {
-		t0 = time.Now()
-		s.stateMu.Lock()
-		s.metStateWait.Add(time.Since(t0).Nanoseconds())
-		for _, hr := range owned {
-			s.wireHashLocked(hr)
-		}
-		s.stateMu.Unlock()
-		s.resolveMu.Lock()
-		for _, hr := range owned {
-			close(s.resolving[hr.h])
-			delete(s.resolving, hr.h)
-		}
-		s.resolveMu.Unlock()
-	}
-
-	// Stage 4 — wait (outside all locks) for hashes owned by other
-	// in-flight tranches to be wired, so commits below only ever add
-	// members to fully wired hashes.
-	for _, hr := range order {
-		if hr.wait != nil {
-			<-hr.wait
-		}
-	}
-
-	// Stage 5 — commit: integrate the events into both views in
-	// tranche order, firing promotions/unions and the oracle cadence
-	// exactly as a serial append-by-append run would.
-	t0 = time.Now()
-	s.stateMu.Lock()
-	s.metStateWait.Add(time.Since(t0).Nanoseconds())
+	// Commit: integrate the events into both views in tranche order,
+	// firing promotions/unions and the oracle cadence exactly as an
+	// append-by-append run would.
 	for _, pe := range pend {
 		res := &out.Results[pe.ri]
-		if err := s.commitLocked(pe.ev, resolves[pe.ev.Hash], res); err != nil {
+		if err := s.commitLocked(pe, res); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -545,136 +426,50 @@ func (s *Store) AppendBatch(events []Event) (BatchResult, error) {
 		}
 		out.DistanceCalls += res.DistanceCalls
 	}
-	s.gen.Add(1)
-	sn := s.buildSnapshotLocked()
-	s.stateMu.Unlock()
-
-	// Stage 6 — publish.
-	s.publish(sn)
+	s.publishLocked()
 	return out, firstErr
 }
 
-// claimHash claims h in the index, registering it as in-flight when
-// this caller wins the claim. Exactly one of three outcomes: owned
-// (this tranche must register+probe+wire it), wait non-nil (another
-// tranche is wiring it), or neither (already fully wired).
-func (s *Store) claimHash(h phash.Hash) (id int32, owned bool, wait chan struct{}) {
-	s.resolveMu.Lock()
-	defer s.resolveMu.Unlock()
-	id, isNew := s.idx.Claim(h)
-	if isNew {
-		s.resolving[h] = make(chan struct{})
-		return id, true, nil
-	}
-	return id, false, s.resolving[h] // nil when already wired
-}
-
-// probeOwned registers and probes the tranche's owned hashes — in
-// parallel when there is enough work and more than one CPU. Each hash
-// is registered in every band before it is probed, which (with the
-// index's per-band locks) guarantees that of any two concurrently
-// inserted ε-close hashes, at least one probe discovers the other.
-func (s *Store) probeOwned(owned []*hashResolve) {
-	one := func(hr *hashResolve) {
-		s.idx.Register(hr.id, hr.h)
-		hr.nbrs, hr.stats = s.idx.ProbeNeighbours(hr.h, hr.id)
-	}
-	if len(owned) < 4 || runtime.GOMAXPROCS(0) == 1 {
-		for _, hr := range owned {
-			one(hr)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(owned) {
-		workers = len(owned)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(owned)) {
-					return
-				}
-				one(owned[i])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// growHashLocked extends the per-hash arrays to cover hash id. New
-// slots are inert (no members, no adjacency) until wired/committed.
-func (s *Store) growHashLocked(id int32) {
-	for int32(len(s.adj)) <= id {
-		s.adj = append(s.adj, nil)
-		for v := range s.views {
-			vs := &s.views[v]
-			vs.members = append(vs.members, nil)
-			vs.cnt = append(vs.cnt, 0)
-			vs.core = append(vs.core, false)
-			vs.parent = append(vs.parent, -1)
-			vs.size = append(vs.size, 0)
-			vs.minVi = append(vs.minVi, -1)
-		}
-	}
-}
-
-// wireHashLocked splices one owned hash's probe result into the
-// adjacency. The edge set dedups against the opposite endpoint having
-// wired the same edge already (both probes of a concurrently inserted
-// ε-pair may see each other). Counts are then seeded from the full
-// current adjacency: the hash has no members yet, so neighbours' counts
-// are untouched, and any member committed to a neighbour later bumps
-// this hash's count through the now-wired edge — the count invariant
-// (cnt = view points within ε, own members included) holds at every
-// stateMu release.
-func (s *Store) wireHashLocked(hr *hashResolve) {
-	s.growHashLocked(hr.id)
-	for _, n := range hr.nbrs {
-		s.growHashLocked(n)
-		a, b := hr.id, n
-		if a > b {
-			a, b = b, a
-		}
-		key := uint64(uint32(a))<<32 | uint64(uint32(b))
-		if _, dup := s.edgeSeen[key]; dup {
-			continue
-		}
-		s.edgeSeen[key] = struct{}{}
-		s.adj[hr.id] = append(s.adj[hr.id], n)
-		s.adj[n] = append(s.adj[n], hr.id)
+// wireHashLocked adds the per-hash state of a newly inserted hash (ids
+// are dense, so id == len(s.adj)) and splices its ε-edges into the
+// adjacency. Its counts are seeded from its neighbours' members; it has
+// no members yet, so neighbours' counts are untouched, and any member
+// committed to a neighbour later bumps this hash's count through the
+// new edge.
+func (s *Store) wireHashLocked(id int32, nbrs []int32) {
+	s.adj = append(s.adj, nbrs)
+	for _, n := range nbrs {
+		s.adj[n] = append(s.adj[n], id)
 	}
 	for v := range s.views {
 		vs := &s.views[v]
 		var c int32
-		for _, n := range s.adj[hr.id] {
+		for _, n := range nbrs {
 			c += int32(len(vs.members[n]))
 		}
-		vs.cnt[hr.id] = c
+		vs.members = append(vs.members, nil)
+		vs.cnt = append(vs.cnt, c)
+		vs.core = append(vs.core, false)
+		vs.parent = append(vs.parent, -1)
+		vs.size = append(vs.size, 0)
+		vs.minVi = append(vs.minVi, -1)
 	}
 }
 
-// commitLocked integrates one logged event into the views. hr is the
-// event's hash resolution (its hash is fully wired by now).
-func (s *Store) commitLocked(ev Event, hr *hashResolve, res *AppendResult) error {
+// commitLocked integrates one logged event into the views. Its hash is
+// wired by now.
+func (s *Store) commitLocked(pe pendingEvent, res *AppendResult) error {
+	ev := pe.ev
 	pk := pointKey{ev.Hash, ev.E2LD}
 	pid, known := s.pointIdx[pk]
 	if !known {
 		res.NewPoint = true
-		if hr.owned && !hr.spent {
-			// First point of a hash this tranche introduced: the event
-			// that paid the index probe.
-			hr.spent = true
+		if pe.newHash {
 			res.NewHash = true
-			res.DistanceCalls = hr.stats.DistanceCalls
+			res.DistanceCalls = pe.dist
 		}
 		pid = int32(len(s.pointHash))
-		s.pointHash = append(s.pointHash, hr.id)
+		s.pointHash = append(s.pointHash, pe.hid)
 		s.pointE2LD = append(s.pointE2LD, ev.E2LD)
 		s.pointEvents = append(s.pointEvents, 0)
 		s.pointIdx[pk] = pid
@@ -808,16 +603,18 @@ func (s *Store) labelsLocked(v int) ([]int, int) {
 	return labels, len(comps)
 }
 
-// buildSnapshotLocked captures the current committed state. The label
-// slices are the store's cached ones (rebuilt fresh whenever dirty, so
-// never mutated after capture); the pts/pointHash slices are prefixes
-// of append-only arrays whose captured cells never change.
-func (s *Store) buildSnapshotLocked() *snapshot {
+// publishLocked captures the current committed state and installs it as
+// the read snapshot. The label slices are the store's cached ones
+// (rebuilt fresh whenever dirty, so never mutated after capture); the
+// log, pts and pointHash slices are prefixes of append-only arrays
+// whose captured cells never change.
+func (s *Store) publishLocked() {
+	s.gen++
 	dl, dn := s.labelsLocked(viewDiscovery)
 	ll, ln := s.labelsLocked(viewLive)
 	sn := &snapshot{
-		gen:          s.gen.Load(),
-		events:       s.log.len(),
+		gen:          s.gen,
+		log:          s.log[:len(s.log):len(s.log)],
 		pointHash:    s.pointHash[:len(s.pointHash):len(s.pointHash)],
 		discPts:      clipInt32(s.views[viewDiscovery].pts),
 		livePts:      clipInt32(s.views[viewLive].pts),
@@ -829,39 +626,10 @@ func (s *Store) buildSnapshotLocked() *snapshot {
 		cycles:       s.views[viewLive].cycles,
 	}
 	sn.campaigns = s.projectCampaignsLocked(ll)
-	return sn
+	s.snap.Store(sn)
 }
 
 func clipInt32(sl []int32) []int32 { return sl[:len(sl):len(sl)] }
-
-// publish installs sn as the live snapshot unless a newer generation
-// already is, and records how far behind the committed state the
-// published snapshot runs (0 when no other tranche committed since sn
-// was built — every tranche publishes, so the age is bounded by the
-// number of concurrently in-flight tranches).
-func (s *Store) publish(sn *snapshot) {
-	for {
-		cur := s.snap.Load()
-		if cur != nil && cur.gen >= sn.gen {
-			break
-		}
-		if s.snap.CompareAndSwap(cur, sn) {
-			break
-		}
-	}
-	s.metSnapAge.Set(int64(s.gen.Load() - s.snap.Load().gen))
-}
-
-// publishCurrent rebuilds and publishes a snapshot of the current
-// state (used by mutations outside the batch path, e.g. campaign
-// registration).
-func (s *Store) publishCurrent() {
-	s.stateMu.Lock()
-	s.gen.Add(1)
-	sn := s.buildSnapshotLocked()
-	s.stateMu.Unlock()
-	s.publish(sn)
-}
 
 func (s *Store) poison(err error) {
 	s.poisoned.CompareAndSwap(nil, &poisonBox{err: err})
@@ -893,8 +661,8 @@ func (s *Store) LiveLabels() ([]int, int) {
 // DiscoveryIndex returns the discovery-view index of the (hash, e2LD)
 // point, if it has one.
 func (s *Store) DiscoveryIndex(h phash.Hash, e2ld string) (int, bool) {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	pid, ok := s.pointIdx[pointKey{h, e2ld}]
 	if !ok {
 		return 0, false
@@ -912,8 +680,8 @@ func (s *Store) DiscoveryIndex(h phash.Hash, e2ld string) (int, bool) {
 // shared store: the store's crawl view must be the run's observation
 // sequence, no more, no less, in the same order.
 func (s *Store) DiscoveryMatches(n int, at func(int) (phash.Hash, string)) bool {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	vs := &s.views[viewDiscovery]
 	if len(vs.pts) != n {
 		return false
@@ -935,27 +703,23 @@ func (s *Store) DiscoveryPoints() int { return len(s.snap.Load().discPts) }
 // published snapshot.
 func (s *Store) Points() int { return len(s.snap.Load().pointHash) }
 
-// EventCount returns the number of logged (non-duplicate) events.
-func (s *Store) EventCount() int { return s.log.len() }
+// EventCount returns the number of logged (non-duplicate) events in
+// the published snapshot.
+func (s *Store) EventCount() int { return len(s.snap.Load().log) }
 
 // Events returns up to limit events with Seq > after, in sequence
 // order — the pagination contract of GET /v1/observations. limit <= 0
-// means no limit. Lock-free: reads the chunked log directly.
+// means no limit. Lock-free: reads the published snapshot's log.
 func (s *Store) Events(after uint64, limit int) []LoggedEvent {
-	n := int64(s.log.n.Load())
-	chunks := s.log.chunks.Load() // after n: covers every cell below n
-	if after >= uint64(n) {
+	log := s.snap.Load().log
+	if after >= uint64(len(log)) {
 		return nil
 	}
-	end := n
-	if limit > 0 && end-int64(after) > int64(limit) {
-		end = int64(after) + int64(limit)
+	page := log[after:]
+	if limit > 0 && len(page) > limit {
+		page = page[:limit]
 	}
-	out := make([]LoggedEvent, 0, end-int64(after))
-	for i := int64(after); i < end; i++ {
-		out = append(out, *s.log.at(chunks, i))
-	}
-	return out
+	return append([]LoggedEvent(nil), page...)
 }
 
 // DistanceCalls returns the full Hamming verifications performed over
@@ -977,11 +741,11 @@ type Stats struct {
 }
 
 // Stats returns a read-side snapshot — served from the published
-// snapshot plus the live atomics, without taking any lock.
+// snapshot plus the index counters, without taking the writer lock.
 func (s *Store) Stats() Stats {
 	sn := s.snap.Load()
 	return Stats{
-		Events:          s.log.len(),
+		Events:          len(sn.log),
 		Points:          len(sn.pointHash),
 		DiscoveryPoints: len(sn.discPts),
 		LivePoints:      len(sn.livePts),

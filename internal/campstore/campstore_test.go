@@ -3,6 +3,8 @@ package campstore_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -267,6 +269,58 @@ func TestAppendBatchAggregates(t *testing.T) {
 	}
 	if res.Probes == 0 {
 		t.Fatalf("expected banded probes, got %+v", res)
+	}
+}
+
+// TestAppendBatchSerialEdgeContract pins the one-writer edge contract:
+// a tranche of n new, mutually ε-close hashes costs exactly n(n-1)/2
+// distance calls, because each hash is probed right after its own
+// insert and so verifies each ε-edge once, from its newer end. The
+// BatchResult and both views' labels are identical at GOMAXPROCS 1
+// and 8.
+func TestAppendBatchSerialEdgeContract(t *testing.T) {
+	const n = 96 // enough work per tranche that a parallel probe could overlap
+	base := randHash(rand.New(rand.NewSource(21)))
+	var tranche []campstore.Event
+	for i := 0; i < n; i++ {
+		// One distinct flipped bit each: every pair is 2 bits apart.
+		tranche = append(tranche, campstore.Event{Hash: base.FlipBits(i),
+			E2LD: fmt.Sprintf("d%d.example", i), Source: campstore.SourceCrawl,
+			Tick: time.Unix(int64(i), 0)})
+	}
+	run := func(procs int) (campstore.BatchResult, []int, []int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := campstore.New(campstore.Config{})
+		res, err := s.AppendBatch(tranche)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		disc, _ := s.DiscoveryLabels()
+		live, _ := s.LiveLabels()
+		return res, disc, live
+	}
+	res1, disc1, live1 := run(1)
+	if want := int64(n * (n - 1) / 2); res1.DistanceCalls != want || res1.NewHashes != n {
+		t.Fatalf("GOMAXPROCS 1: %d distance calls over %d new hashes, want %d over %d",
+			res1.DistanceCalls, res1.NewHashes, want, n)
+	}
+	for i, r := range res1.Results {
+		if r.DistanceCalls != int64(i) {
+			t.Fatalf("event %d paid %d distance calls, want %d (one per earlier hash)", i, r.DistanceCalls, i)
+		}
+	}
+	res8, disc8, live8 := run(8)
+	for i := range res1.Results {
+		if res1.Results[i] != res8.Results[i] {
+			t.Fatalf("event %d: GOMAXPROCS 1 %+v, GOMAXPROCS 8 %+v", i, res1.Results[i], res8.Results[i])
+		}
+	}
+	if !reflect.DeepEqual(res1, res8) {
+		t.Fatalf("BatchResult differs: GOMAXPROCS 1 %d distance calls, GOMAXPROCS 8 %d",
+			res1.DistanceCalls, res8.DistanceCalls)
+	}
+	if !reflect.DeepEqual(disc1, disc8) || !reflect.DeepEqual(live1, live8) {
+		t.Fatalf("labels differ: discovery %v vs %v, live %v vs %v", disc1, disc8, live1, live8)
 	}
 }
 

@@ -30,7 +30,7 @@ func (s *Store) oracleCompare(name string, hashes []phash.Hash, inc []int, n int
 }
 
 // runOracleLocked checks both views at the current commit point; it
-// runs inside a commit (under stateMu) so the compared state is exactly
+// runs inside a commit (under the writer lock) so the compared state is exactly
 // the stream prefix that triggered the cadence.
 func (s *Store) runOracleLocked() error {
 	s.oracleRuns.Add(1)

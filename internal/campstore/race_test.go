@@ -99,14 +99,13 @@ func TestConcurrentAppendersAndReaders(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchAppendersMergeHeavy drives the staged AppendBatch
-// path from several writers whose tranches keep bridging each other's
-// clusters (so cross-tranche edge wiring, count seeding and union-find
-// merges all race), while readers walk /v1/campaigns-style projections
-// and Events pagination off the lock-free snapshot. The final state is
-// checked against the serial batch oracle, and the test asserts the
-// store leaves no goroutines behind (the probe fan-out must fully
-// drain).
+// TestConcurrentBatchAppendersMergeHeavy drives AppendBatch from
+// several writers whose tranches keep bridging each other's clusters
+// (so edge wiring, count seeding and union-find merges depend on which
+// writer gets the lock first), while readers walk /v1/campaigns-style
+// projections and Events pagination off the lock-free snapshot. The
+// final state is checked against the serial batch oracle, and the test
+// asserts the store leaves no goroutines behind.
 func TestConcurrentBatchAppendersMergeHeavy(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := campstore.New(campstore.Config{})
@@ -115,7 +114,7 @@ func TestConcurrentBatchAppendersMergeHeavy(t *testing.T) {
 	// Per-appender private streams: appender a owns chains whose left
 	// and right halves are ε-connected only through a bridge hash that
 	// EVERY appender also replays (shared suffix) — so merges depend on
-	// cross-appender arrivals and most bridge claims collide.
+	// cross-appender arrivals and most bridge hashes collide.
 	const appenders = 4
 	const chains = 3
 	var shared []campstore.Event

@@ -11,7 +11,7 @@ import (
 // DynamicIndex is a pigeonhole-partitioned Hamming index over 128-bit
 // perceptual hashes that supports insertion, so the incremental
 // clustering engine (internal/campstore) absorbs new observations
-// without a rebuild, and batch clustering (ClusterHashes) registers a
+// without a rebuild, and batch clustering (ClusterHashes) inserts a
 // whole corpus and then probes it.
 //
 // The 128-bit dhash is split into m contiguous bands. For two hashes
@@ -28,94 +28,26 @@ import (
 //
 // # Concurrency
 //
-// DynamicIndex is safe for concurrent use, and its locking is
-// band-sharded: every band owns an independent bucket map behind its
-// own RWMutex, so concurrent probes share each shard read-locked and a
-// registration write-locks one shard at a time. The remaining shared
-// state is lock-free for readers:
-//
-//   - the distinct-hash table is a chunked append-only store — chunks
-//     are fixed arrays, the chunk directory is swapped atomically, and
-//     an id obtained from a bucket (or from byHash) is always safe to
-//     dereference because the hash cell is written before the id is
-//     published under the band lock (or the map's internal atomics);
-//   - byHash is a sync.Map, so the known-hash fast path (Lookup — zero
-//     distance calls) takes no lock at all;
-//   - the query counters are atomics, with an extra per-shard probe
-//     counter feeding cluster_index_shard_probes_total.
-//
-// Only id assignment (Claim) serializes on a mutex, and it is O(1).
-//
-// The split lifecycle — Claim (assign id), Register (publish into every
-// band bucket), ProbeNeighbours (walk the shards, dedup, verify once
-// each) — is what the campaign store's staged ingest builds on. The
-// discovery guarantee it relies on: if every caller completes
-// Register(h) before calling ProbeNeighbours(h), then for any two
-// hashes within maxBits at least one of the two probes finds the other,
-// regardless of interleaving. Proof sketch: take any band b both hashes
-// fall into within tol (pigeonhole: one exists). The band-b lock
-// serializes each hash's insert-then-read; if neither probe saw the
-// other, each read preceded the other's insert, giving the cycle
-// read_a < insert_b < read_b < insert_a < read_a — impossible.
-// The compatibility Add keeps the claim→register→probe order, so
-// plain concurrent Adds inherit the guarantee.
+// DynamicIndex is safe for concurrent use behind one RWMutex: Insert
+// takes the write lock, and ProbeNeighbours, Lookup, Hash and Len take
+// the read lock, so concurrent probes share the index. The campaign
+// store is the index's only incremental writer and it inserts and
+// probes one hash at a time under its own writer lock, so an ε-edge is
+// found exactly once, by the probe of the newer hash. The query
+// counters are atomics, with a per-band probe counter feeding
+// cluster_index_shard_probes_total.
 type DynamicIndex struct {
 	maxBits int
 	tol     int
 	specs   []bandSpec
-	shards  []indexShard
 
-	claimMu sync.Mutex // serializes id assignment + distinct append
-	byHash  sync.Map   // phash.Hash -> int32
-	hashes  hashTable
-
-	candidates, distCalls atomic.Int64
-}
-
-// indexShard is one band's buckets plus its share of the probe counter.
-type indexShard struct {
 	mu      sync.RWMutex
-	buckets map[uint64][]int32
-	probes  atomic.Int64
-}
+	buckets []map[uint64][]int32 // per band: band value -> distinct ids
+	byHash  map[phash.Hash]int32
+	hashes  []phash.Hash // distinct hashes by id
 
-// hashChunkBits sizes the chunks of the append-only distinct-hash
-// table: 1024 hashes (16 KiB) per chunk.
-const hashChunkBits = 10
-
-type hashChunk [1 << hashChunkBits]phash.Hash
-
-// hashTable is the chunked append-only distinct-hash store. Appends are
-// serialized by the index's claimMu; reads are lock-free. A reader may
-// only dereference ids it obtained from a published source (a band
-// bucket or byHash) — publication orders the cell write before the id
-// becomes visible.
-type hashTable struct {
-	chunks atomic.Pointer[[]*hashChunk]
-	n      atomic.Int64
-}
-
-func (t *hashTable) at(i int32) phash.Hash {
-	return (*t.chunks.Load())[i>>hashChunkBits][i&(1<<hashChunkBits-1)]
-}
-
-// append stores h and returns its id. Caller must hold claimMu.
-func (t *hashTable) append(h phash.Hash) int32 {
-	i := t.n.Load()
-	ci, off := int(i>>hashChunkBits), i&(1<<hashChunkBits-1)
-	chunks := t.chunks.Load()
-	if chunks == nil || ci == len(*chunks) {
-		var next []*hashChunk
-		if chunks != nil {
-			next = append(next, *chunks...)
-		}
-		next = append(next, new(hashChunk))
-		t.chunks.Store(&next)
-		chunks = &next
-	}
-	(*chunks)[ci][off] = h
-	t.n.Store(i + 1)
-	return int32(i)
+	bandProbes            []atomic.Int64
+	candidates, distCalls atomic.Int64
 }
 
 // bandSpec is one contiguous bit span [Off, Off+Width) of the 128-bit
@@ -194,13 +126,15 @@ func NewDynamicIndex(eps float64) *DynamicIndex {
 	maxBits := int(eps * float64(phash.Bits))
 	specs := bandLayout(bandsFor(maxBits))
 	x := &DynamicIndex{
-		maxBits: maxBits,
-		tol:     maxBits / len(specs),
-		specs:   specs,
-		shards:  make([]indexShard, len(specs)),
+		maxBits:    maxBits,
+		tol:        maxBits / len(specs),
+		specs:      specs,
+		buckets:    make([]map[uint64][]int32, len(specs)),
+		byHash:     map[phash.Hash]int32{},
+		bandProbes: make([]atomic.Int64, len(specs)),
 	}
-	for b := range x.shards {
-		x.shards[b].buckets = map[uint64][]int32{}
+	for b := range x.buckets {
+		x.buckets[b] = map[uint64][]int32{}
 	}
 	return x
 }
@@ -208,58 +142,53 @@ func NewDynamicIndex(eps float64) *DynamicIndex {
 // MaxBits returns eps expressed in raw hash bits.
 func (x *DynamicIndex) MaxBits() int { return x.maxBits }
 
-// Bands returns the number of band shards.
-func (x *DynamicIndex) Bands() int { return len(x.shards) }
+// Bands returns the number of bands.
+func (x *DynamicIndex) Bands() int { return len(x.specs) }
 
-// Len returns the number of distinct hashes indexed (claimed ids;
-// registration may still be in flight for the newest ones).
-func (x *DynamicIndex) Len() int { return int(x.hashes.n.Load()) }
+// Len returns the number of distinct hashes indexed.
+func (x *DynamicIndex) Len() int {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return len(x.hashes)
+}
 
 // Hash returns the distinct hash with id d. d must come from Lookup,
-// Claim, Add or a probe result.
-func (x *DynamicIndex) Hash(d int32) phash.Hash { return x.hashes.at(d) }
+// Insert, Add or a probe result.
+func (x *DynamicIndex) Hash(d int32) phash.Hash {
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	return x.hashes[d]
+}
 
-// Lookup returns the id of h if it is already claimed. Lock-free.
+// Lookup returns the id of h if it is already indexed.
 func (x *DynamicIndex) Lookup(h phash.Hash) (int32, bool) {
-	if v, ok := x.byHash.Load(h); ok {
-		return v.(int32), true
-	}
-	return 0, false
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	id, ok := x.byHash[h]
+	return id, ok
 }
 
-// Claim assigns an id to h if it has none, without touching the band
-// buckets. The caller that wins the claim (isNew) must Register the
-// hash before probing for it; losers share the winner's id.
-func (x *DynamicIndex) Claim(h phash.Hash) (id int32, isNew bool) {
-	if v, ok := x.byHash.Load(h); ok {
-		return v.(int32), false
+// Insert indexes h in every band bucket if it is new, and returns its
+// id. A known hash returns its existing id with isNew=false.
+func (x *DynamicIndex) Insert(h phash.Hash) (id int32, isNew bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if id, ok := x.byHash[h]; ok {
+		return id, false
 	}
-	x.claimMu.Lock()
-	defer x.claimMu.Unlock()
-	if v, ok := x.byHash.Load(h); ok {
-		return v.(int32), false
+	id = int32(len(x.hashes))
+	x.hashes = append(x.hashes, h)
+	x.byHash[h] = id
+	for b, spec := range x.specs {
+		v := bandValue(h, spec)
+		x.buckets[b][v] = append(x.buckets[b][v], id)
 	}
-	id = x.hashes.append(h)
-	x.byHash.Store(h, id)
 	return id, true
-}
-
-// Register publishes a claimed hash into every band bucket, one shard
-// write-lock at a time. Must be called exactly once per claimed id, by
-// the claim winner, before that caller probes for the hash.
-func (x *DynamicIndex) Register(id int32, h phash.Hash) {
-	for b := range x.shards {
-		v := bandValue(h, x.specs[b])
-		sh := &x.shards[b]
-		sh.mu.Lock()
-		sh.buckets[v] = append(sh.buckets[v], id)
-		sh.mu.Unlock()
-	}
 }
 
 // ProbeStats reports what one probe cost.
 type ProbeStats struct {
-	Probes        int64 // bucket lookups across shards
+	Probes        int64 // bucket lookups across bands
 	Candidates    int64 // distinct candidates examined
 	DistanceCalls int64 // full Hamming verifications
 }
@@ -276,13 +205,11 @@ type probeScratch struct {
 var probePool = sync.Pool{New: func() any { return &probeScratch{} }}
 
 // collect appends every id of bucket not yet seen by this probe (and
-// not self) to sc.ids.
-func (sc *probeScratch) collect(x *DynamicIndex, bucket []int32, self int32) {
+// not self) to sc.ids. n is the number of indexed hashes.
+func (sc *probeScratch) collect(n int, bucket []int32, self int32) {
 	for _, cd := range bucket {
 		if int(cd) >= len(sc.mark) {
-			// Ids are claimed before they are published, so Len
-			// already covers any id a bucket holds.
-			sc.mark = append(sc.mark, make([]uint32, x.Len()-len(sc.mark))...)
+			sc.mark = append(sc.mark, make([]uint32, n-len(sc.mark))...)
 		}
 		if cd == self || sc.mark[cd] == sc.stamp {
 			continue
@@ -292,13 +219,12 @@ func (sc *probeScratch) collect(x *DynamicIndex, bucket []int32, self int32) {
 	}
 }
 
-// ProbeNeighbours returns the ids of every registered distinct hash
-// within maxBits of h, ascending, excluding self (pass self = -1 when h
-// is not registered, or to have h's own id verified and returned too).
-// It walks the bands serially, each shard's buckets under that shard's
-// read lock, keeping the first sighting of every candidate, then
-// verifies each distinct candidate with one full Hamming distance call
-// outside all locks.
+// ProbeNeighbours returns the ids of every indexed distinct hash within
+// maxBits of h, ascending, excluding self (pass self = -1 when h is not
+// indexed, or to have h's own id verified and returned too). It walks
+// the bands serially under the read lock, keeping the first sighting of
+// every candidate, then verifies each distinct candidate with one full
+// Hamming distance call.
 func (x *DynamicIndex) ProbeNeighbours(h phash.Hash, self int32) ([]int32, ProbeStats) {
 	sc := probePool.Get().(*probeScratch)
 	sc.stamp++
@@ -309,31 +235,28 @@ func (x *DynamicIndex) ProbeNeighbours(h phash.Hash, self int32) ([]int32, Probe
 	sc.ids = sc.ids[:0]
 
 	var st ProbeStats
-	for b := range x.shards {
-		spec, sh := x.specs[b], &x.shards[b]
+	x.mu.RLock()
+	for b, spec := range x.specs {
 		var lookups int64
-		sh.mu.RLock()
 		enumBand(bandValue(h, spec), spec.Width, x.tol, func(pv uint64) {
 			lookups++
-			sc.collect(x, sh.buckets[pv], self)
+			sc.collect(len(x.hashes), x.buckets[b][pv], self)
 		})
-		sh.mu.RUnlock()
-		sh.probes.Add(lookups)
+		x.bandProbes[b].Add(lookups)
 		st.Probes += lookups
 	}
 
 	// Verify each distinct candidate once, filtering sc.ids in place.
-	// No locks held: candidate cells are immutable once their ids were
-	// published.
 	st.Candidates = int64(len(sc.ids))
 	st.DistanceCalls = st.Candidates
 	w := 0
 	for _, cd := range sc.ids {
-		if phash.Distance(h, x.hashes.at(cd)) <= x.maxBits {
+		if phash.Distance(h, x.hashes[cd]) <= x.maxBits {
 			sc.ids[w] = cd
 			w++
 		}
 	}
+	x.mu.RUnlock()
 	var nbrs []int32
 	if w > 0 {
 		nbrs = slices.Clone(sc.ids[:w])
@@ -347,18 +270,16 @@ func (x *DynamicIndex) ProbeNeighbours(h phash.Hash, self int32) ([]int32, Probe
 }
 
 // Add inserts h and returns its id plus the ids of every previously
-// registered distinct hash within maxBits (ascending, excluding h
-// itself). If h is already claimed the existing id is returned with a
-// nil neighbour slice and isNew=false — re-observations of a known hash
-// cost a lock-free map lookup and zero distance calls. Concurrent Adds
-// are safe; for hashes racing their registrations, at least one of the
-// two overlapping Adds reports the other in its neighbour slice.
+// indexed distinct hash within maxBits (ascending, excluding h itself).
+// If h is already indexed the existing id is returned with a nil
+// neighbour slice and isNew=false — re-observations of a known hash
+// cost one map lookup and zero distance calls. Of two overlapping Adds
+// of ε-close hashes, the one whose probe runs second reports the other.
 func (x *DynamicIndex) Add(h phash.Hash) (id int32, neighbours []int32, isNew bool) {
-	id, isNew = x.Claim(h)
+	id, isNew = x.Insert(h)
 	if !isNew {
 		return id, nil, false
 	}
-	x.Register(id, h)
 	neighbours, _ = x.ProbeNeighbours(h, id)
 	return id, neighbours, true
 }
@@ -368,24 +289,24 @@ type DynamicIndexStats struct {
 	Distinct      int
 	Bands         int
 	Tolerance     int
-	Probes        int64   // bucket lookups performed (all shards)
+	Probes        int64   // bucket lookups performed (all bands)
 	Candidates    int64   // distinct candidates examined (pre-verification)
 	DistanceCalls int64   // full Hamming verifications
-	ShardProbes   []int64 // bucket lookups per band shard
+	ShardProbes   []int64 // bucket lookups per band
 }
 
 // Stats returns the current counters.
 func (x *DynamicIndex) Stats() DynamicIndexStats {
 	st := DynamicIndexStats{
 		Distinct:      x.Len(),
-		Bands:         len(x.shards),
+		Bands:         len(x.specs),
 		Tolerance:     x.tol,
 		Candidates:    x.candidates.Load(),
 		DistanceCalls: x.distCalls.Load(),
-		ShardProbes:   make([]int64, len(x.shards)),
+		ShardProbes:   make([]int64, len(x.specs)),
 	}
-	for b := range x.shards {
-		p := x.shards[b].probes.Load()
+	for b := range x.bandProbes {
+		p := x.bandProbes[b].Load()
 		st.ShardProbes[b] = p
 		st.Probes += p
 	}

@@ -126,7 +126,7 @@ func TestEnumBandEmitsExactlyWithinTol(t *testing.T) {
 	}
 }
 
-// TestMultiIndexNeighboursMatchBruteForce registers a corpus, then
+// TestMultiIndexNeighboursMatchBruteForce inserts a corpus, then
 // checks every point's ProbeNeighbours result (expanded to point
 // indices) against a brute-force scan, across an eps sweep that runs
 // from exact-match buckets (tol 0) to 0.45, where every band probe
@@ -137,9 +137,8 @@ func TestMultiIndexNeighboursMatchBruteForce(t *testing.T) {
 		x := NewDynamicIndex(eps)
 		var members [][]int
 		for i, h := range hashes {
-			id, isNew := x.Claim(h)
+			id, isNew := x.Insert(h)
 			if isNew {
-				x.Register(id, h)
 				members = append(members, nil)
 			}
 			members[id] = append(members[id], i)
@@ -301,8 +300,8 @@ func TestDynamicIndexConcurrentAdds(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			// Shifted replay: every worker adds the full stream from a
-			// different start, so identical hashes race their claims
-			// and near hashes race their registrations.
+			// different start, so identical hashes race their inserts
+			// and near hashes race their probes.
 			for i := range hashes {
 				h := hashes[(i+w*53)%len(hashes)]
 				id, nb, isNew := dyn.Add(h)

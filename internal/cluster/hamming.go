@@ -70,7 +70,7 @@ func DBSCANHashes(hashes []phash.Hash, params Params) (Result, error) {
 }
 
 // ClusterHashes batch-clusters perceptual hashes through a DynamicIndex:
-// it claims and registers every distinct hash in first-appearance order,
+// it inserts every distinct hash in first-appearance order,
 // probes each distinct hash once, and runs DBSCANIndexed over the
 // resulting neighbourhoods. It is the campaign store's oracle and the
 // reference the incremental engine is tested against. The index is
@@ -84,9 +84,8 @@ func ClusterHashes(hashes []phash.Hash, params Params) (Result, *DynamicIndex, e
 	ofPoint := make([]int32, len(hashes))
 	var members [][]int // members[d] = point indices with distinct hash d
 	for i, h := range hashes {
-		d, isNew := x.Claim(h)
+		d, isNew := x.Insert(h)
 		if isNew {
-			x.Register(d, h)
 			members = append(members, nil)
 		}
 		ofPoint[i] = d

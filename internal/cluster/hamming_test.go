@@ -123,17 +123,15 @@ func TestMultiIndexLinearFallback(t *testing.T) {
 }
 
 // TestMultiIndexParallelPrecomputeRace has 16 goroutines probe every
-// distinct hash of a registered index at once (under -race they share
-// the pooled stamp scratch and the shard read locks). Each probe must
+// distinct hash of a filled index at once (under -race they share
+// the pooled stamp scratch and the index read lock). Each probe must
 // return the same sorted neighbour set as a serial probe, its own id
 // included.
 func TestMultiIndexParallelPrecomputeRace(t *testing.T) {
 	hashes := corpus(500, 15)
 	x := NewDynamicIndex(0.1)
 	for _, h := range hashes {
-		if id, isNew := x.Claim(h); isNew {
-			x.Register(id, h)
-		}
+		x.Insert(h)
 	}
 	n := x.Len()
 	serial := make([][]int32, n)

@@ -47,12 +47,10 @@ type Config struct {
 	// FetchCost is the virtual time per fetch (paces the virtual crawl
 	// window; the paper spent ~2 minutes per session).
 	FetchCost time.Duration
-	// StealthPatch / DialogBypass are the anti-cloaking instrumentations;
-	// both default to on and exist as knobs for the ablation benches.
-	StealthPatch bool
-	DialogBypass bool
-	// DisableStealth / DisableDialogBypass turn the instrumentations off
-	// (needed because zero-value booleans default to on).
+	// DisableStealth / DisableDialogBypass turn off the anti-cloaking
+	// instrumentations (navigator.webdriver removal and page-locking
+	// dialog neutralisation), which are on by default; they exist for
+	// the ablation benches.
 	DisableStealth      bool
 	DisableDialogBypass bool
 	// DeviceEmulation applies mobile screen metrics for mobile UAs.

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -272,5 +275,44 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if got := r.Histogram("lat").Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d", got)
+	}
+}
+
+// TestWriteFile: a nil registry or an empty path writes nothing, and a
+// written file holds exactly WriteJSON's bytes (the snapshot's
+// taken_at wall-clock line aside).
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "nil.json")
+	var nilReg *Registry
+	if err := nilReg.WriteFile(path); err != nil {
+		t.Fatalf("nil registry: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("nil registry created %s (stat err %v)", path, err)
+	}
+	r := New()
+	if err := r.WriteFile(""); err != nil {
+		t.Fatalf("empty path: %v", err)
+	}
+
+	r.Counter("writes_total").Add(3)
+	r.Gauge("depth").Set(7)
+	r.Histogram("size").Observe(42)
+	path = filepath.Join(dir, "m.json")
+	if err := r.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := r.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	takenAt := regexp.MustCompile(`"taken_at": "[^"]*"`)
+	if g, w := takenAt.ReplaceAll(got, nil), takenAt.ReplaceAll(want.Bytes(), nil); !bytes.Equal(g, w) {
+		t.Fatalf("file bytes differ from WriteJSON:\n%s\nwant\n%s", g, w)
 	}
 }

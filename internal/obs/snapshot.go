@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -98,6 +99,23 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
+}
+
+// WriteFile writes WriteJSON's snapshot to the file at path, creating
+// or truncating it. A nil registry or an empty path writes nothing.
+func (r *Registry) WriteFile(path string) error {
+	if r == nil || path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Text renders the snapshot as aligned, sorted plain text.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -130,9 +129,7 @@ func (s *Server) handleAppendObservation(w http.ResponseWriter, r *http.Request)
 	// A JSON object body is the original single-observation form.
 	if trimmed[0] == '[' {
 		var reqs []ObservationRequest
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&reqs); err != nil {
+		if err := decodeStrict(bytes.NewReader(trimmed), &reqs); err != nil {
 			writeError(w, http.StatusBadRequest, "bad observation batch: "+err.Error())
 			return
 		}
@@ -179,9 +176,7 @@ func (s *Server) handleAppendObservation(w http.ResponseWriter, r *http.Request)
 
 	// Single-object form.
 	var req ObservationRequest
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(bytes.NewReader(trimmed), &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad observation: "+err.Error())
 		return
 	}

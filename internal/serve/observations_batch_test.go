@@ -154,7 +154,7 @@ func TestConcurrentObservationIngest(t *testing.T) {
 		go func(shift int) {
 			defer wg.Done()
 			// Shifted batches of 8 over the same shared entry set, so
-			// concurrent tranches collide on dedup and hash claims.
+			// concurrent tranches collide on dedup and shared hashes.
 			for off := 0; off < len(entries); off += 8 {
 				end := off + 8
 				if end > len(entries) {
@@ -215,7 +215,7 @@ func TestServeIngestLoad(t *testing.T) {
 				events := make([]campstore.Event, batch)
 				for i := range events {
 					// Half the stream is shared across writers (dedup +
-					// claim contention), half is writer-private growth.
+					// shared hashes), half is writer-private growth.
 					c := (r*batch + i) % 7
 					h := base.FlipBits(18*c%phash.Bits, (18*c+1+i%9)%phash.Bits)
 					dom := fmt.Sprintf("c%dd%d.example", c, i%4)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -101,11 +102,24 @@ func storeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// decodeStrict decodes one JSON value from r into v. It rejects unknown
+// fields and anything but whitespace after the value, so a body with a
+// second value or trailing junk is refused whole.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}

@@ -449,3 +449,31 @@ func TestAPIShutdown(t *testing.T) {
 		t.Fatalf("report after drain = %d", code)
 	}
 }
+
+// TestAPIRejectsTrailingData: a body must be exactly one JSON value.
+// Trailing junk after an observation object or batch, or a second job
+// spec after the first, is a 400, and nothing is appended or submitted.
+func TestAPIRejectsTrailingData(t *testing.T) {
+	obsSrv := New(Config{Workers: 1, QueueCap: 1, Obs: obs.New()})
+	obsTS := httptest.NewServer(obsSrv.Handler())
+	defer obsTS.Close()
+	defer drainStore(t, obsSrv.Store())
+	jobSrv, jobTS, _ := newTestServer(t, instantRunner)
+
+	entry := `{"seed":9,"tiny":true,"hash":"000000000000abcd0000000000001234","e2ld":"a.example","tick":"2019-03-04T00:00:00Z"}`
+	for _, tc := range []struct{ name, url, body string }{
+		{"observation object", obsTS.URL + "/v1/observations", entry + ` junk`},
+		{"observation batch", obsTS.URL + "/v1/observations", `[` + entry + `] junk`},
+		{"second job spec", jobTS.URL + "/v1/jobs", `{"seed":1,"tiny":true} {"seed":2}`},
+	} {
+		if code, b := do(t, "POST", tc.url, tc.body); code != http.StatusBadRequest {
+			t.Errorf("%s = %d %s, want 400", tc.name, code, b)
+		}
+	}
+	if st := obsSrv.owner.world("world-9-tiny", false); st != nil {
+		t.Errorf("rejected observations created a world store with %d events", st.EventCount())
+	}
+	if jobs := jobSrv.Store().List(); len(jobs) != 0 {
+		t.Errorf("rejected job spec submitted %d jobs", len(jobs))
+	}
+}
