@@ -75,12 +75,13 @@ bench-obs:
 # (cold miss vs memoized hit, with allocs/op), and the script fast path
 # (parse-per-run vs cached program on a reused interpreter), the
 # incremental campaign store (append / merge / full-rebuild, each
-# reporting its distance-calls), and the concurrent store surface
+# reporting its distance-calls), the concurrent store surface
 # (AppendBatch from 1/4/8 writers queued on the writer lock, plus a
-# read-heavy mix against the lock-free snapshots).
+# read-heavy mix against the store's readers), and one 4-event write
+# into stores of 5k and 50k points (StorePublish_, with B/op).
 # -benchtime 1x keeps a baseline run under a minute; these are
 # regression sentinels, not statistically tight measurements.
-BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_
+BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_|BenchmarkStorePublish_
 # The hashing/rng/batch-clustering kernel sentinels run at a higher
 # benchtime: they are microseconds-to-milliseconds each, so 1x would
 # mostly measure timer noise. BenchmarkRngSplit_ lives in internal/rng
@@ -120,7 +121,9 @@ bench-baseline:
 # campaign store's writer lock must ingest the corpus in at most 1.25x
 # the single-writer time (queueing must not collapse throughput).
 # The allocation guards (incremental append distance calls, cold
-# rng.Split bytes) count work, not time, so they run on any host.
+# rng.Split bytes, and the publish guard: one 4-event write into a
+# 50k-point store may allocate at most 1.5x the bytes of the same write
+# into a 5k-point store) count work, not time, so they run on any host.
 bench-check:
 	@test -f $(BENCH_BASELINE) || { echo "no $(BENCH_BASELINE); run make bench-baseline first"; exit 1; }
 	$(GO) test -run XXX -bench 'BenchmarkFigure2_PipelineEndToEnd$$' -benchtime 1x . | tee BENCH_check.txt
@@ -175,6 +178,16 @@ bench-check:
 	  printf "cold rng split %s B/op (limit 512 B/op)\n", bop; \
 	  exit (bop + 0 > 512) ? 1 : 0 }' \
 	  || { echo "FAIL: a cold rng.Split allocates >512 B — seeding is materializing math/rand state eagerly"; exit 1; }
+	@$(GO) test -run XXX -bench 'BenchmarkStorePublish_(5k|50k)$$' -benchtime 20x -benchmem . | tee BENCH_publish.txt; \
+	small=$$(awk '$$1 ~ /^BenchmarkStorePublish_5k(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print $$i }' BENCH_publish.txt); \
+	large=$$(awk '$$1 ~ /^BenchmarkStorePublish_50k(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print $$i }' BENCH_publish.txt); \
+	rm -f BENCH_publish.txt; \
+	if [ -z "$$small" ] || [ -z "$$large" ]; then echo "could not extract publish B/op (5k=$$small 50k=$$large)"; exit 1; fi; \
+	awk -v small="$$small" -v large="$$large" 'BEGIN { \
+	  ratio = large / small; \
+	  printf "store publish %s B/op at 5k points, %s B/op at 50k, ratio %.2f (limit 1.5)\n", small, large, ratio; \
+	  exit (ratio > 1.5) ? 1 : 0 }' \
+	  || { echo "FAIL: a write into a 50k-point store allocates >1.5x one into a 5k-point store — the publish scales with the store"; exit 1; }
 	@echo "bench-check OK"
 
 # Profile the milking stage (the pipeline's hot loop) and print where
@@ -191,18 +204,25 @@ profile-milk:
 	@echo "=== alloc_objects top-10 (alloc-site breakdown by count) ==="
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects repro.test milk_mem.prof
 
-# Profile the daemon's concurrent ingest path under the canned load
-# (TestServeIngestLoad: 4 writers batching appends against one world
-# store while snapshot readers ride along) and print where goroutines
-# contend. Mutex shows lock hold-time by owner; block shows wait time
-# at acquisition sites — together they locate the next lock to shard.
-# Profiles land under the ignored prof/ directory for interactive pprof
-# sessions; the compiled test binary is removed once the reports print.
+# Profile the daemon's ingest path under the canned load
+# (TestServeIngestLoad: a store seeded with registered campaigns, then
+# 4 writers batching appends while snapshot reads ride along) and print
+# where its CPU time and allocated bytes go, plus where goroutines
+# queue: mutex shows hold time on the store's one writer lock, block
+# shows wait time at acquisition sites. -count 100 repeats the load so
+# the CPU profile holds a few hundred samples. Profiles land under the
+# ignored prof/ directory for interactive pprof sessions; the compiled
+# test binary is removed once the reports print.
 profile-serve:
 	@mkdir -p prof
-	$(GO) test -run 'TestServeIngestLoad$$' -count 5 \
+	$(GO) test -run 'TestServeIngestLoad$$' -count 100 \
+		-cpuprofile prof/serve_cpu.prof -memprofile prof/serve_mem.prof \
 		-mutexprofile prof/serve_mutex.prof -blockprofile prof/serve_block.prof \
 		-o prof/serve.test ./internal/serve/
+	@echo "=== cpu top-10 ==="
+	$(GO) tool pprof -top -nodecount=10 prof/serve.test prof/serve_cpu.prof
+	@echo "=== alloc_space top-10 ==="
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space prof/serve.test prof/serve_mem.prof
 	@echo "=== mutex contention top-10 ==="
 	$(GO) tool pprof -top -nodecount=10 prof/serve.test prof/serve_mutex.prof
 	@echo "=== block top-10 ==="

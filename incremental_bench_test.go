@@ -228,10 +228,12 @@ func BenchmarkStoreAppend_W4(b *testing.B) { benchmarkStoreAppend(b, 4) }
 func BenchmarkStoreAppend_W8(b *testing.B) { benchmarkStoreAppend(b, 8) }
 
 // BenchmarkStoreMixed_ReadHeavy runs one writer ingesting the corpus
-// while three readers continuously walk the lock-free snapshot surface
-// (labels, pagination, stats, campaign projections). The contract is
-// that reads never block writes: ns/op should track the W1 append
-// bench, and reads/op records how much snapshot traffic rode along.
+// while three readers continuously walk the read surface: labels,
+// which are derived under the writer lock, plus pagination, stats and
+// campaign projections off the lock-free snapshot. ns/op is the W1
+// append bench plus what the readers' label derivations make the
+// writer wait for, and reads/op records how much read traffic rode
+// along.
 // The writer starts behind a barrier that every reader passes after
 // its first full read, so each reader overlaps the appends; a run that
 // records no reads measured nothing and fails.
@@ -286,3 +288,55 @@ func BenchmarkStoreMixed_ReadHeavy(b *testing.B) {
 	}
 	b.ReportMetric(float64(reads.Load())/float64(b.N), "reads")
 }
+
+// publishCampaigns is the number of campaigns registered on the
+// BenchmarkStorePublish stores, as many as the benchmark's ingest world
+// carries.
+const publishCampaigns = 14
+
+// benchmarkStorePublish measures what one write costs as the store
+// grows: it appends one fixed 4-event tranche (near-duplicates of four
+// campaign members, so four campaign views change) to a store of
+// `points` points holding publishCampaigns registered campaigns of 8
+// points each. The corpus keeps one cluster-to-noise mix at every size
+// and its first clusters are the same at every size, so only the
+// store's size differs between the rows. Each iteration builds its
+// store outside the timer. B/op counts the append and its publish; a
+// publish that re-derives labels or re-projects campaigns over the
+// whole store grows it with the store, an O(changed state) publish
+// does not. `make bench-check` requires B/op at 50k to stay within
+// 1.5x of B/op at 5k.
+func benchmarkStorePublish(b *testing.B, points int) {
+	nc := points * 8 / 100 // 64% clustered points, 36% noise
+	corpus := incrementalCorpus(nc, incrPerClust, points-nc*incrPerClust)
+	tranche := make([]campstore.Event, 4)
+	for j := range tranche {
+		src := corpus[j*3*incrPerClust+1]
+		tranche[j] = campstore.Event{Hash: src.Hash.FlipBits(90 + j), E2LD: src.E2LD,
+			Tick: src.Tick.Add(time.Hour), Source: campstore.SourceMilk}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st := campstore.New(campstore.Config{})
+		if _, err := st.AppendBatch(corpus); err != nil {
+			b.Fatal(err)
+		}
+		for c := 0; c < publishCampaigns; c++ {
+			rep := corpus[c*incrPerClust]
+			if err := st.RegisterCampaign(campstore.Campaign{ID: c, RepHash: rep.Hash, RepE2LD: rep.E2LD}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if _, err := st.AppendBatch(tranche); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(points), "points")
+}
+
+func BenchmarkStorePublish_5k(b *testing.B)  { benchmarkStorePublish(b, 5000) }
+func BenchmarkStorePublish_50k(b *testing.B) { benchmarkStorePublish(b, 50000) }

@@ -2,9 +2,7 @@ package campstore
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/phash"
 )
 
@@ -32,6 +30,12 @@ type Campaign struct {
 type registeredCampaign struct {
 	Campaign
 	pid int32 // representative point id
+
+	// view is the campaign's projection as last built, current while
+	// its component's aggregate still carries stamp (see refreshView).
+	view  CampaignView
+	stamp uint64
+	built bool
 }
 
 // RegisterCampaign records (or overwrites, keyed on ID) a discovered
@@ -47,7 +51,7 @@ func (s *Store) RegisterCampaign(c Campaign) error {
 			c.ID, c.RepHash, c.RepE2LD)
 	}
 	c.ScamPhones = append([]string(nil), c.ScamPhones...)
-	s.campaigns[c.ID] = registeredCampaign{Campaign: c, pid: pid}
+	s.setCampaignLocked(c, pid)
 	s.publishLocked()
 	return nil
 }
@@ -57,7 +61,8 @@ func (s *Store) RegisterCampaign(c Campaign) error {
 type CampaignView struct {
 	Campaign
 	// Domains are the distinct e2LDs of the live cluster containing the
-	// representative, sorted.
+	// representative, sorted. The slice is shared between views and
+	// snapshots and must not be modified.
 	Domains []string
 	// Observations is the number of logged events supporting that
 	// cluster's points.
@@ -65,62 +70,6 @@ type CampaignView struct {
 	// Merged is set when another registered campaign now shares the
 	// same live cluster (their ε-neighbourhoods grew together).
 	Merged bool
-}
-
-// projectCampaignsLocked projects every registered campaign onto the
-// live view at snapshot-build time, in ascending campaign id order.
-// The result is immutable once published.
-func (s *Store) projectCampaignsLocked(labels []int) []CampaignView {
-	if len(s.campaigns) == 0 {
-		return nil
-	}
-	vs := &s.views[viewLive]
-	domains := map[int]map[string]bool{}
-	events := map[int]int{}
-	for vi, pid := range vs.pts {
-		l := labels[vi]
-		if l == cluster.Noise {
-			continue
-		}
-		d := domains[l]
-		if d == nil {
-			d = map[string]bool{}
-			domains[l] = d
-		}
-		d[s.pointE2LD[pid]] = true
-		events[l] += int(s.pointEvents[pid])
-	}
-	ids := make([]int, 0, len(s.campaigns))
-	uses := map[int]int{} // live label -> registered campaigns on it
-	for id, rc := range s.campaigns {
-		ids = append(ids, id)
-		if l := labels[vs.idxOf[rc.pid]]; l != cluster.Noise {
-			uses[l]++
-		}
-	}
-	sort.Ints(ids)
-	out := make([]CampaignView, 0, len(ids))
-	for _, id := range ids {
-		rc := s.campaigns[id]
-		cv := CampaignView{Campaign: rc.Campaign}
-		cv.ScamPhones = append([]string(nil), rc.ScamPhones...)
-		if l := labels[vs.idxOf[rc.pid]]; l != cluster.Noise {
-			for d := range domains[l] {
-				cv.Domains = append(cv.Domains, d)
-			}
-			sort.Strings(cv.Domains)
-			cv.Observations = events[l]
-			cv.Merged = uses[l] > 1
-		} else {
-			// Defensive: a θc-filtered campaign's representative always
-			// sits in a live cluster (live counts dominate crawl counts),
-			// but degrade to the representative alone rather than panic.
-			cv.Domains = []string{rc.RepE2LD}
-			cv.Observations = int(s.pointEvents[rc.pid])
-		}
-		out = append(out, cv)
-	}
-	return out
 }
 
 // LiveCampaigns returns every registered campaign projected onto the

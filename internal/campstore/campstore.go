@@ -36,7 +36,20 @@
 // labels are *identical* to a from-scratch batch run over the same
 // points — not merely equivalent up to relabeling. The property/fuzz
 // tests and the periodic oracle (Config.OracleEvery) assert exactly
-// that.
+// that. No write builds label slices: DiscoveryLabels, LiveLabels and
+// the oracle derive them when called, under the writer lock.
+//
+// # Live aggregates
+//
+// The live view keeps, at each union-find root, the aggregate a
+// campaign projection reads: a refcounted distinct-e2LD set, the
+// supporting event count and the number of registered campaigns on the
+// component. Commits, promotions and unions update them in place
+// (small-into-large on a union), and a border hash's members are
+// counted in the adjacent component with the smallest minimal core
+// index, re-evaluated exactly when one of those components changes. A
+// publish therefore rebuilds only the campaign views whose component
+// changed; it costs O(changed state), not O(store).
 //
 // Because the log is append-only, counts never decrease: core points
 // are never demoted and clusters never split. The only merge-direction
@@ -63,9 +76,10 @@
 // oracle cadence, snapshot build and store), and so does
 // RegisterCampaign; concurrent writers queue on it. Each write ends by
 // publishing an immutable snapshot through an atomic pointer, and the
-// read endpoints (Events, EventCount, labels, LiveCampaigns, Stats,
-// RunOracle) serve that snapshot without taking the lock. See
-// DESIGN.md §10.
+// read endpoints Events, EventsPage, EventCount, LiveCampaigns and
+// Stats serve that snapshot without taking the lock. DiscoveryLabels,
+// LiveLabels and RunOracle derive labels from the incremental state,
+// so they take the writer lock. See DESIGN.md §10.
 //
 // The writer inserts and probes a tranche's new distinct hashes one at
 // a time, so each ε-edge is found exactly once, by the probe of the
@@ -176,12 +190,13 @@ type viewState struct {
 	size   []int32 // union by size
 	minVi  []int32 // root -> minimal core view index in the component
 
+	ncomp  int   // components: +1 per promotion, -1 per merge
 	merges int64 // unions that joined two distinct components
 	cycles int64 // unions whose endpoints were already connected
 
-	dirty     bool
-	labels    []int
-	nclusters int
+	// live marks the all-sources view, the one that keeps the campaign
+	// aggregates (aggregates.go).
+	live bool
 }
 
 func (vs *viewState) find(a int32) int32 {
@@ -193,9 +208,10 @@ func (vs *viewState) find(a int32) int32 {
 }
 
 // union joins the components of core hashes a and b, keeping the
-// minimal core view index at the surviving root. Reports whether two
-// distinct components merged.
-func (vs *viewState) union(a, b int32) bool {
+// minimal core view index at the surviving root, and on the live view
+// merges the two components' aggregates. Reports whether two distinct
+// components merged.
+func (s *Store) union(vs *viewState, a, b int32) bool {
 	ra, rb := vs.find(a), vs.find(b)
 	if ra == rb {
 		vs.cycles++
@@ -204,12 +220,22 @@ func (vs *viewState) union(a, b int32) bool {
 	if vs.size[ra] < vs.size[rb] {
 		ra, rb = rb, ra
 	}
+	// The side with the larger minimal core index sees it drop, so its
+	// borders may now prefer the merged component.
+	lowered := ra
+	if vs.minVi[rb] > vs.minVi[ra] {
+		lowered = rb
+	}
 	vs.parent[rb] = ra
 	vs.size[ra] += vs.size[rb]
 	if vs.minVi[rb] < vs.minVi[ra] {
 		vs.minVi[ra] = vs.minVi[rb]
 	}
 	vs.merges++
+	vs.ncomp--
+	if vs.live {
+		s.mergeAggs(ra, rb, lowered)
+	}
 	return true
 }
 
@@ -225,19 +251,17 @@ type pointKey struct {
 	e2ld string
 }
 
-// snapshot is one immutable published state: everything the read
-// endpoints serve, captured at a commit boundary. Slices are either
-// freshly built at publish time or append-only prefixes whose cells
-// below the captured length never change, so sharing them is safe.
+// snapshot is one immutable published state: everything the lock-free
+// read endpoints serve, captured at a commit boundary. The log is a
+// prefix of an append-only array whose cells below the captured length
+// never change, and the campaign views are never mutated once
+// published, so sharing both is safe.
 type snapshot struct {
 	gen uint64        // commit generation this snapshot reflects
 	log []LoggedEvent // event log (append-only prefix)
 
-	pointHash []int32 // point id -> hash id (append-only prefix)
-
-	discPts, livePts           []int32 // view point ids (append-only prefixes)
-	discLabels, liveLabels     []int
-	discClusters, liveClusters int
+	points, discPoints, livePoints int
+	liveClusters                   int
 
 	merges, cycles int64
 
@@ -263,11 +287,11 @@ type Store struct {
 	pointEvents []int32 // supporting (non-duplicate) events per point
 	pointIdx    map[pointKey]int32
 	// adj[h] lists the distinct hashes within ε of h (excluding h).
-	adj       [][]int32
-	views     [numViews]viewState
-	campaigns map[int]registeredCampaign
-	appended  uint64 // non-duplicate events committed (oracle cadence)
-	gen       uint64 // published snapshots
+	adj      [][]int32
+	views    [numViews]viewState
+	live     liveAggs
+	appended uint64 // non-duplicate events committed (oracle cadence)
+	gen      uint64 // published snapshots
 
 	snap       atomic.Pointer[snapshot]
 	oracleRuns atomic.Int64
@@ -297,7 +321,7 @@ func New(cfg Config) *Store {
 		idx:         cluster.NewDynamicIndex(p.Eps),
 		dedup:       map[eventKey]uint64{},
 		pointIdx:    map[pointKey]int32{},
-		campaigns:   map[int]registeredCampaign{},
+		live:        liveAggs{campaigns: map[int]*registeredCampaign{}},
 
 		metEvents:        cfg.Obs.Counter("cluster_incremental_events_total"),
 		metMerges:        cfg.Obs.Counter("cluster_incremental_merges_total"),
@@ -308,6 +332,7 @@ func New(cfg Config) *Store {
 		metShardProbes:   cfg.Obs.Counter("cluster_index_shard_probes_total"),
 		metStateWait:     cfg.Obs.Counter("campstore_state_lock_wait_ns_total"),
 	}
+	s.views[viewLive].live = true
 	s.snap.Store(&snapshot{})
 	return s
 }
@@ -454,6 +479,7 @@ func (s *Store) wireHashLocked(id int32, nbrs []int32) {
 		vs.size = append(vs.size, 0)
 		vs.minVi = append(vs.minVi, -1)
 	}
+	s.live.wireHash()
 }
 
 // commitLocked integrates one logged event into the views. Its hash is
@@ -479,12 +505,16 @@ func (s *Store) commitLocked(pe pendingEvent, res *AppendResult) error {
 		s.addToView(&s.views[viewLive], pid)
 	}
 	s.pointEvents[pid]++
+	if a := s.countedIn(pe.hid); a != nil {
+		a.events++
+		s.live.touch(a)
+	}
 	if ev.Source == SourceCrawl && s.views[viewDiscovery].idxOf[pid] < 0 {
 		s.addToView(&s.views[viewDiscovery], pid)
 	}
 	s.appended++
 	if s.oracleEvery > 0 && s.appended%uint64(s.oracleEvery) == 0 {
-		if err := s.runOracleLocked(); err != nil {
+		if err := s.runOracleLocked(s.liveCampaignsLocked()); err != nil {
 			s.poison(err)
 			return err
 		}
@@ -500,24 +530,34 @@ func (s *Store) addToView(vs *viewState, pid int32) {
 	vs.pts = append(vs.pts, pid)
 	vs.idxOf[pid] = vi
 	hid := s.pointHash[pid]
+	first := len(vs.members[hid]) == 0
 	vs.members[hid] = append(vs.members[hid], vi)
 	vs.cnt[hid]++
 	for _, n := range s.adj[hid] {
 		vs.cnt[n]++
 	}
-	live := vs == &s.views[viewLive]
-	s.maybePromote(vs, hid, live)
-	for _, n := range s.adj[hid] {
-		s.maybePromote(vs, n, live)
+	if vs.live {
+		if a := s.countedIn(hid); a != nil {
+			a.add(s.pointE2LD[pid], 1, 0)
+			s.live.touch(a)
+		}
 	}
-	vs.dirty = true
+	s.maybePromote(vs, hid)
+	if vs.live && first && !vs.core[hid] {
+		s.addBorder(hid)
+	}
+	for _, n := range s.adj[hid] {
+		s.maybePromote(vs, n)
+	}
 }
 
 // maybePromote turns hid into a core hash once it has members in the
 // view and its ε-neighbourhood reaches MinPts, joining it to every
 // already-core neighbour. A hash whose count crossed MinPts while it
 // had no view members is promoted later, when its first member arrives.
-func (s *Store) maybePromote(vs *viewState, hid int32, live bool) {
+// On the live view the new core's members leave the component they
+// bordered for their own, and its non-core neighbours are re-placed.
+func (s *Store) maybePromote(vs *viewState, hid int32) {
 	if vs.core[hid] || len(vs.members[hid]) == 0 || int(vs.cnt[hid]) < s.params.MinPts {
 		return
 	}
@@ -525,18 +565,25 @@ func (s *Store) maybePromote(vs *viewState, hid int32, live bool) {
 	vs.parent[hid] = hid
 	vs.size[hid] = 1
 	vs.minVi[hid] = vs.members[hid][0]
+	vs.ncomp++
+	if vs.live {
+		s.promoteAgg(hid)
+	}
 	for _, n := range s.adj[hid] {
 		if !vs.core[n] {
 			continue
 		}
-		merged := vs.union(hid, n)
-		if live {
+		merged := s.union(vs, hid, n)
+		if vs.live {
 			if merged {
 				s.metMerges.Inc()
 			} else {
 				s.metSplitsAvoided.Inc()
 			}
 		}
+	}
+	if vs.live {
+		s.borderNeighbours(hid)
 	}
 }
 
@@ -545,13 +592,9 @@ func (s *Store) maybePromote(vs *viewState, hid int32, live bool) {
 // component's minimal core view index (exactly batch DBSCAN's seeding
 // order); border points take the minimum id among adjacent core hashes
 // (exactly the first cluster that would have expanded into them).
-// A fresh slice is built whenever the view changed, so previously
-// returned label slices (and the snapshots holding them) are immutable.
+// Every call builds a fresh slice, which the caller owns.
 func (s *Store) labelsLocked(v int) ([]int, int) {
 	vs := &s.views[v]
-	if !vs.dirty {
-		return vs.labels, vs.nclusters
-	}
 	nh := int32(len(vs.members))
 	// Rank the components by minimal core view index.
 	type comp struct{ root, minVi int32 }
@@ -599,37 +642,28 @@ func (s *Store) labelsLocked(v int) ([]int, int) {
 			labels[vi] = lbl
 		}
 	}
-	vs.labels, vs.nclusters, vs.dirty = labels, len(comps), false
 	return labels, len(comps)
 }
 
 // publishLocked captures the current committed state and installs it as
-// the read snapshot. The label slices are the store's cached ones
-// (rebuilt fresh whenever dirty, so never mutated after capture); the
-// log, pts and pointHash slices are prefixes of append-only arrays
-// whose captured cells never change.
+// the read snapshot: counters, the log as a prefix of its append-only
+// array, and the campaign projection, in which only the views whose
+// component changed since the last publish are rebuilt.
 func (s *Store) publishLocked() {
 	s.gen++
-	dl, dn := s.labelsLocked(viewDiscovery)
-	ll, ln := s.labelsLocked(viewLive)
-	sn := &snapshot{
+	live := &s.views[viewLive]
+	s.snap.Store(&snapshot{
 		gen:          s.gen,
 		log:          s.log[:len(s.log):len(s.log)],
-		pointHash:    s.pointHash[:len(s.pointHash):len(s.pointHash)],
-		discPts:      clipInt32(s.views[viewDiscovery].pts),
-		livePts:      clipInt32(s.views[viewLive].pts),
-		discLabels:   dl,
-		liveLabels:   ll,
-		discClusters: dn,
-		liveClusters: ln,
-		merges:       s.views[viewLive].merges,
-		cycles:       s.views[viewLive].cycles,
-	}
-	sn.campaigns = s.projectCampaignsLocked(ll)
-	s.snap.Store(sn)
+		points:       len(s.pointHash),
+		discPoints:   len(s.views[viewDiscovery].pts),
+		livePoints:   len(live.pts),
+		liveClusters: live.ncomp,
+		merges:       live.merges,
+		cycles:       live.cycles,
+		campaigns:    s.liveCampaignsLocked(),
+	})
 }
-
-func clipInt32(sl []int32) []int32 { return sl[:len(sl):len(sl)] }
 
 func (s *Store) poison(err error) {
 	s.poisoned.CompareAndSwap(nil, &poisonBox{err: err})
@@ -643,19 +677,21 @@ func (s *Store) poisonErr() error {
 }
 
 // DiscoveryLabels returns the crawl-view labels (one per crawl point,
-// in crawl-point arrival order) and the cluster count, from the
-// published snapshot — no lock taken. The slice is a copy.
+// in crawl-point arrival order) and the cluster count, derived under
+// the writer lock. The caller owns the slice.
 func (s *Store) DiscoveryLabels() ([]int, int) {
-	sn := s.snap.Load()
-	return append([]int(nil), sn.discLabels...), sn.discClusters
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.labelsLocked(viewDiscovery)
 }
 
 // LiveLabels returns the all-sources labels (one per point, in point
-// arrival order) and the cluster count, from the published snapshot —
-// no lock taken. The slice is a copy.
+// arrival order) and the cluster count, derived under the writer lock.
+// The caller owns the slice.
 func (s *Store) LiveLabels() ([]int, int) {
-	sn := s.snap.Load()
-	return append([]int(nil), sn.liveLabels...), sn.liveClusters
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.labelsLocked(viewLive)
 }
 
 // DiscoveryIndex returns the discovery-view index of the (hash, e2LD)
@@ -697,11 +733,11 @@ func (s *Store) DiscoveryMatches(n int, at func(int) (phash.Hash, string)) bool 
 
 // DiscoveryPoints returns the size of the discovery (crawl) view in
 // the published snapshot.
-func (s *Store) DiscoveryPoints() int { return len(s.snap.Load().discPts) }
+func (s *Store) DiscoveryPoints() int { return s.snap.Load().discPoints }
 
 // Points returns the number of distinct (hash, e2LD) pairs in the
 // published snapshot.
-func (s *Store) Points() int { return len(s.snap.Load().pointHash) }
+func (s *Store) Points() int { return s.snap.Load().points }
 
 // EventCount returns the number of logged (non-duplicate) events in
 // the published snapshot.
@@ -711,15 +747,23 @@ func (s *Store) EventCount() int { return len(s.snap.Load().log) }
 // order — the pagination contract of GET /v1/observations. limit <= 0
 // means no limit. Lock-free: reads the published snapshot's log.
 func (s *Store) Events(after uint64, limit int) []LoggedEvent {
+	page, _ := s.EventsPage(after, limit)
+	return page
+}
+
+// EventsPage is Events plus the log length, both read from one
+// published snapshot, so a page and its total always agree: the page
+// ends before the total exactly when more events follow it.
+func (s *Store) EventsPage(after uint64, limit int) ([]LoggedEvent, int) {
 	log := s.snap.Load().log
 	if after >= uint64(len(log)) {
-		return nil
+		return nil, len(log)
 	}
 	page := log[after:]
 	if limit > 0 && len(page) > limit {
 		page = page[:limit]
 	}
-	return append([]LoggedEvent(nil), page...)
+	return append([]LoggedEvent(nil), page...), len(log)
 }
 
 // DistanceCalls returns the full Hamming verifications performed over
@@ -746,9 +790,9 @@ func (s *Store) Stats() Stats {
 	sn := s.snap.Load()
 	return Stats{
 		Events:          len(sn.log),
-		Points:          len(sn.pointHash),
-		DiscoveryPoints: len(sn.discPts),
-		LivePoints:      len(sn.livePts),
+		Points:          sn.points,
+		DiscoveryPoints: sn.discPoints,
+		LivePoints:      sn.livePoints,
 		LiveClusters:    sn.liveClusters,
 		Merges:          sn.merges,
 		SplitsAvoided:   sn.cycles,

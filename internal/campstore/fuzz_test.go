@@ -24,14 +24,17 @@ import (
 //	                      flipping two positions taken from bytes 0-1
 //	                      (guarantees ε-density whatever the corpus)
 //	               bit2 = reuse the previous tick (exercises dedup)
+//	               bit3 = register campaign (e2LD selector mod 4) with
+//	                      this event as its representative
 //
 // The fuzzer mutates corpus entries freely; the derive flag means even
 // random mutations keep producing near-duplicate hashes that land
 // within eps of each other, which is where merges and promotions live.
 const fuzzRecordSize = 18
 
-func decodeFuzzStream(data []byte) []campstore.Event {
-	var evs []campstore.Event
+// decodeFuzzStream returns the events and, per event, the id of the
+// campaign it registers (-1 = none).
+func decodeFuzzStream(data []byte) (evs []campstore.Event, registers []int) {
 	prev := phash.Hash{}
 	tick := int64(0)
 	for len(data) >= fuzzRecordSize && len(evs) < 256 {
@@ -55,8 +58,13 @@ func decodeFuzzStream(data []byte) []campstore.Event {
 			Source: src,
 			Tick:   time.Unix(tick, 0),
 		})
+		reg := -1
+		if rec[17]&8 != 0 {
+			reg = int(rec[16] % 4)
+		}
+		registers = append(registers, reg)
 	}
-	return evs
+	return evs, registers
 }
 
 func encodeFuzzRecord(h phash.Hash, dom, flags byte) []byte {
@@ -96,37 +104,45 @@ var worldgenCorpus = sync.OnceValue(func() [][]byte {
 })
 
 // FuzzIncrementalLabels feeds arbitrary event streams — seeded from
-// real worldgen crawl observations — through the incremental engine and
-// asserts, via the batch-recompute oracle, that both views' labels are
-// identical to a from-scratch DBSCAN over the same arrival order.
+// real worldgen crawl observations — through the incremental engine,
+// registering campaigns along the way, and asserts, via the
+// batch-recompute oracle, that both views' labels are identical to a
+// from-scratch DBSCAN over the same arrival order and that the live
+// campaign projection equals one computed from those batch labels.
 func FuzzIncrementalLabels(f *testing.F) {
 	for _, seed := range worldgenCorpus() {
 		f.Add(seed)
 	}
 	// Synthetic seeds: one dense chain (every hash 2 flips from the
-	// previous), one crawl/milk alternation with dedup pressure.
+	// previous), one crawl/milk alternation with dedup pressure, and
+	// one that walks every flag combination, campaign registration
+	// included.
 	base := phash.Hash{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}
-	var chain, alt []byte
+	var chain, alt, reg []byte
 	for i := 0; i < 24; i++ {
 		chain = append(chain, encodeFuzzRecord(base.FlipBits(i, i+1), byte(i), 2)...)
 		alt = append(alt, encodeFuzzRecord(base.FlipBits(i%5), byte(i%3), byte(i%8))...)
+		reg = append(reg, encodeFuzzRecord(base.FlipBits(i%7, 64+i%3), byte(i), byte(i%16))...)
 	}
 	f.Add(chain)
 	f.Add(alt)
+	f.Add(reg)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		evs := decodeFuzzStream(data)
+		evs, registers := decodeFuzzStream(data)
 		if len(evs) == 0 {
 			return
 		}
-		s := campstore.New(campstore.Config{Params: cluster.PaperParams})
+		h := newProjHarness(t, cluster.PaperParams)
 		for i, ev := range evs {
-			if _, err := s.Append(ev); err != nil {
-				t.Fatalf("append %d: %v", i, err)
+			h.append(ev)
+			if id := registers[i]; id >= 0 {
+				h.register(campstore.Campaign{ID: id, RepHash: ev.Hash, RepE2LD: ev.E2LD})
 			}
 		}
-		if err := s.RunOracle(); err != nil {
-			t.Fatalf("incremental labels diverged from batch: %v", err)
+		if err := h.s.RunOracle(); err != nil {
+			t.Fatalf("incremental state diverged from batch: %v", err)
 		}
+		h.check("end of stream")
 	})
 }

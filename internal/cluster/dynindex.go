@@ -48,6 +48,9 @@ type DynamicIndex struct {
 
 	bandProbes            []atomic.Int64
 	candidates, distCalls atomic.Int64
+
+	scratchMu sync.Mutex
+	scratch   []*probeScratch // idle probe scratches
 }
 
 // bandSpec is one contiguous bit span [Off, Off+Width) of the 128-bit
@@ -193,24 +196,59 @@ type ProbeStats struct {
 	DistanceCalls int64 // full Hamming verifications
 }
 
-// probeScratch is pooled per-probe state: a stamp array deduplicating
+// probeScratch is per-probe state: a stamp array deduplicating
 // candidates across bands without per-probe allocation (mark[id] ==
 // stamp once id was seen by the current probe), plus the candidate list.
+// The mark array is sized to the index, so each index keeps its idle
+// scratches itself: a sync.Pool drops them at every GC, and the next
+// probe would then pay O(index) bytes to rebuild one.
 type probeScratch struct {
 	mark  []uint32
 	stamp uint32
 	ids   []int32
 }
 
-var probePool = sync.Pool{New: func() any { return &probeScratch{} }}
+// getScratch takes an idle scratch (or a new one) and readies it for
+// a probe over n indexed hashes.
+func (x *DynamicIndex) getScratch(n int) *probeScratch {
+	x.scratchMu.Lock()
+	var sc *probeScratch
+	if k := len(x.scratch); k > 0 {
+		sc, x.scratch = x.scratch[k-1], x.scratch[:k-1]
+	}
+	x.scratchMu.Unlock()
+	if sc == nil {
+		sc = &probeScratch{}
+	}
+	if n > len(sc.mark) {
+		if n <= cap(sc.mark) {
+			sc.mark = sc.mark[:n] // cells past the old length were never written
+		} else {
+			// Geometric growth keeps the array's cost O(1) per insert.
+			mark := make([]uint32, n, n+n/2)
+			copy(mark, sc.mark)
+			sc.mark = mark
+		}
+	}
+	sc.stamp++
+	if sc.stamp == 0 { // wrapped: stale marks could alias the new stamp
+		clear(sc.mark)
+		sc.stamp = 1
+	}
+	sc.ids = sc.ids[:0]
+	return sc
+}
+
+func (x *DynamicIndex) putScratch(sc *probeScratch) {
+	x.scratchMu.Lock()
+	x.scratch = append(x.scratch, sc)
+	x.scratchMu.Unlock()
+}
 
 // collect appends every id of bucket not yet seen by this probe (and
-// not self) to sc.ids. n is the number of indexed hashes.
-func (sc *probeScratch) collect(n int, bucket []int32, self int32) {
+// not self) to sc.ids.
+func (sc *probeScratch) collect(bucket []int32, self int32) {
 	for _, cd := range bucket {
-		if int(cd) >= len(sc.mark) {
-			sc.mark = append(sc.mark, make([]uint32, n-len(sc.mark))...)
-		}
 		if cd == self || sc.mark[cd] == sc.stamp {
 			continue
 		}
@@ -226,21 +264,14 @@ func (sc *probeScratch) collect(n int, bucket []int32, self int32) {
 // every candidate, then verifies each distinct candidate with one full
 // Hamming distance call.
 func (x *DynamicIndex) ProbeNeighbours(h phash.Hash, self int32) ([]int32, ProbeStats) {
-	sc := probePool.Get().(*probeScratch)
-	sc.stamp++
-	if sc.stamp == 0 { // wrapped: stale marks could alias the new stamp
-		clear(sc.mark)
-		sc.stamp = 1
-	}
-	sc.ids = sc.ids[:0]
-
 	var st ProbeStats
 	x.mu.RLock()
+	sc := x.getScratch(len(x.hashes))
 	for b, spec := range x.specs {
 		var lookups int64
 		enumBand(bandValue(h, spec), spec.Width, x.tol, func(pv uint64) {
 			lookups++
-			sc.collect(len(x.hashes), x.buckets[b][pv], self)
+			sc.collect(x.buckets[b][pv], self)
 		})
 		x.bandProbes[b].Add(lookups)
 		st.Probes += lookups
@@ -262,7 +293,7 @@ func (x *DynamicIndex) ProbeNeighbours(h phash.Hash, self int32) ([]int32, Probe
 		nbrs = slices.Clone(sc.ids[:w])
 		slices.Sort(nbrs)
 	}
-	probePool.Put(sc)
+	x.putScratch(sc)
 
 	x.candidates.Add(st.Candidates)
 	x.distCalls.Add(st.DistanceCalls)

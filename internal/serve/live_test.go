@@ -207,6 +207,73 @@ func TestObservationsEndpoints(t *testing.T) {
 	}
 }
 
+// TestObservationsPageConsistentUnderWrites pages the tail of a world's
+// log while one writer keeps appending to it: each page's next_after
+// must be present exactly when the page's last seq is below the total
+// the same response reports.
+func TestObservationsPageConsistentUnderWrites(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueCap: 1, Obs: obs.New()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer drainStore(t, srv.Store())
+	st := srv.owner.world("pages", true)
+
+	base := phash.Hash{Hi: 0xabcd, Lo: 0x1234}
+	tick := time.Unix(1700000000, 0).UTC()
+	appendOne := func(i int) {
+		if _, err := st.Append(campstore.Event{Hash: base.FlipBits(i % phash.Bits),
+			E2LD: fmt.Sprintf("d%d.example", i%5), Tick: tick.Add(time.Duration(i) * time.Second)}); err != nil {
+			t.Error(err)
+		}
+	}
+	appendOne(0)
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			appendOne(i)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	defer func() { close(stop); <-writerDone }()
+
+	var after uint64
+	for req := 0; req < 2000; req++ {
+		code, b := do(t, "GET", fmt.Sprintf("%s/v1/observations?world=pages&after=%d&limit=1000", ts.URL, after), "")
+		if code != 200 {
+			t.Fatalf("page = %d %s", code, b)
+		}
+		var page struct {
+			Total        int                 `json:"total"`
+			Observations []ObservationRecord `json:"observations"`
+			NextAfter    *uint64             `json:"next_after"`
+		}
+		if err := json.Unmarshal(b, &page); err != nil {
+			t.Fatal(err)
+		}
+		n := len(page.Observations)
+		if n == 0 {
+			continue
+		}
+		last := page.Observations[n-1].Seq
+		if last > uint64(page.Total) {
+			t.Fatalf("request %d: page ends at seq %d beyond total %d", req, last, page.Total)
+		}
+		if (page.NextAfter != nil) != (last < uint64(page.Total)) {
+			t.Fatalf("request %d: page ends at seq %d of total %d, next_after present = %v",
+				req, last, page.Total, page.NextAfter != nil)
+		}
+		// Stay near the tail so most pages end at the log's end.
+		after = last - 1
+	}
+}
+
 // TestObservationsRequireOwner verifies both endpoints refuse when a
 // stub runner replaced the pipeline owner.
 func TestObservationsRequireOwner(t *testing.T) {

@@ -259,7 +259,9 @@ func (s *Server) handleListObservations(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "limit must be in [1,1000]")
 		return
 	}
-	events := st.Events(after, int(limit))
+	// The page and the total come from one snapshot, so next_after is
+	// set exactly when the page stops short of that snapshot's log.
+	events, total := st.EventsPage(after, int(limit))
 	records := make([]ObservationRecord, 0, len(events))
 	for _, ev := range events {
 		records = append(records, ObservationRecord{
@@ -272,10 +274,10 @@ func (s *Server) handleListObservations(w http.ResponseWriter, r *http.Request) 
 	}
 	body := map[string]any{
 		"world":        world,
-		"total":        st.EventCount(),
+		"total":        total,
 		"observations": records,
 	}
-	if n := len(records); n > 0 && records[n-1].Seq < uint64(st.EventCount()) {
+	if n := len(records); n > 0 && records[n-1].Seq < uint64(total) {
 		body["next_after"] = records[n-1].Seq
 	}
 	writeJSON(w, http.StatusOK, body)

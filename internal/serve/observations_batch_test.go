@@ -189,10 +189,10 @@ func TestConcurrentObservationIngest(t *testing.T) {
 }
 
 // TestServeIngestLoad is the canned ingest load `make profile-serve`
-// records mutex/block profiles of: sustained concurrent batch appends
-// plus snapshot reads against one daemon store. It doubles as a
-// correctness check (oracle at the end), so it also runs in plain go
-// test.
+// profiles: a store seeded with one campaign per cluster, as discovery
+// leaves a daemon world, then sustained concurrent batch appends plus
+// snapshot reads. It doubles as a correctness check (oracle at the
+// end), so it also runs in plain go test.
 func TestServeIngestLoad(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueCap: 1, Obs: obs.New()})
 	defer drainStore(t, srv.Store())
@@ -206,6 +206,20 @@ func TestServeIngestLoad(t *testing.T) {
 		rounds  = 40
 		batch   = 12
 	)
+	for c := 0; c < 7; c++ {
+		h := base.FlipBits(18*c%phash.Bits, (18*c+1)%phash.Bits)
+		seed := make([]campstore.Event, 3)
+		for i := range seed {
+			seed[i] = campstore.Event{Hash: h.FlipBits(100 + i), E2LD: fmt.Sprintf("c%dd%d.example", c, i), Tick: tick}
+		}
+		if _, err := st.AppendBatch(seed); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.RegisterCampaign(campstore.Campaign{ID: c, Category: "Techsupport",
+			RepHash: seed[0].Hash, RepE2LD: seed[0].E2LD}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -233,6 +247,7 @@ func TestServeIngestLoad(t *testing.T) {
 				st.Events(uint64(r*batch/2), 64)
 				st.LiveLabels()
 				st.Stats()
+				st.LiveCampaigns()
 			}
 		}(w)
 	}
