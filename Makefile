@@ -88,6 +88,11 @@ BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|Benchmark
 # and batch DBSCAN (the campaign store's oracle) in internal/cluster,
 # hence the extra dirs.
 KERNEL_BENCH_PATTERN = BenchmarkHashKernel_|BenchmarkRngSplit_|BenchmarkDBSCANHashes10k$$
+# One GET /v1/campaigns through seacma-serve's handler over 7 campaigns
+# of 200 and 2,000 domains (internal/serve) runs at the same 5000x as
+# its bench-check guard: a pooled buffer that misses once regrows the
+# whole body, which a 1x run would report as the read's cost.
+SERVE_BENCH_PATTERN = BenchmarkServeCampaignsRead_
 BENCH_BASELINE = BENCH_pipeline.json
 
 # Record the current cost of the contract benches into $(BENCH_BASELINE).
@@ -98,6 +103,7 @@ BENCH_BASELINE = BENCH_pipeline.json
 bench-baseline:
 	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . | tee BENCH_pipeline.txt
 	$(GO) test -run XXX -bench '$(KERNEL_BENCH_PATTERN)' -benchtime 100x -benchmem . ./internal/rng/ ./internal/cluster/ | tee -a BENCH_pipeline.txt
+	$(GO) test -run XXX -bench '$(SERVE_BENCH_PATTERN)' -benchtime 5000x -benchmem ./internal/serve/ | tee -a BENCH_pipeline.txt
 	awk 'BEGIN { print "{"; first = 1 } \
 	     /^Benchmark/ { \
 	       name = $$1; sub(/-[0-9]+$$/, "", name); \
@@ -123,7 +129,10 @@ bench-baseline:
 # The allocation guards (incremental append distance calls, cold
 # rng.Split bytes, and the publish guard: one 4-event write into a
 # 50k-point store may allocate at most 1.5x the bytes of the same write
-# into a 5k-point store) count work, not time, so they run on any host.
+# into a 5k-point store; and the read guard: one GET /v1/campaigns
+# over 2,000-domain campaigns may allocate at most 1.5x the bytes of
+# one over 200-domain campaigns) count work, not time, so they run on
+# any host.
 bench-check:
 	@test -f $(BENCH_BASELINE) || { echo "no $(BENCH_BASELINE); run make bench-baseline first"; exit 1; }
 	$(GO) test -run XXX -bench 'BenchmarkFigure2_PipelineEndToEnd$$' -benchtime 1x . | tee BENCH_check.txt
@@ -188,6 +197,16 @@ bench-check:
 	  printf "store publish %s B/op at 5k points, %s B/op at 50k, ratio %.2f (limit 1.5)\n", small, large, ratio; \
 	  exit (ratio > 1.5) ? 1 : 0 }' \
 	  || { echo "FAIL: a write into a 50k-point store allocates >1.5x one into a 5k-point store — the publish scales with the store"; exit 1; }
+	@$(GO) test -run XXX -bench 'BenchmarkServeCampaignsRead_(200|2k)$$' -benchtime 5000x -benchmem ./internal/serve/ | tee BENCH_read.txt; \
+	small=$$(awk '$$1 ~ /^BenchmarkServeCampaignsRead_200(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print $$i }' BENCH_read.txt); \
+	large=$$(awk '$$1 ~ /^BenchmarkServeCampaignsRead_2k(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "B/op") print $$i }' BENCH_read.txt); \
+	rm -f BENCH_read.txt; \
+	if [ -z "$$small" ] || [ -z "$$large" ]; then echo "could not extract campaigns read B/op (200=$$small 2k=$$large)"; exit 1; fi; \
+	awk -v small="$$small" -v large="$$large" 'BEGIN { \
+	  ratio = large / small; \
+	  printf "campaigns read %s B/op at 200 domains, %s B/op at 2k, ratio %.2f (limit 1.5)\n", small, large, ratio; \
+	  exit (ratio > 1.5) ? 1 : 0 }' \
+	  || { echo "FAIL: a /v1/campaigns read over 2k-domain campaigns allocates >1.5x one over 200 — the response encoder allocates per body byte"; exit 1; }
 	@echo "bench-check OK"
 
 # Profile the milking stage (the pipeline's hot loop) and print where
@@ -210,7 +229,10 @@ profile-milk:
 # where its CPU time and allocated bytes go, plus where goroutines
 # queue: mutex shows hold time on the store's one writer lock, block
 # shows wait time at acquisition sites. -count 100 repeats the load so
-# the CPU profile holds a few hundred samples. Profiles land under the
+# the CPU profile holds a few hundred samples. The load calls the store
+# directly, so a second run profiles the HTTP read side:
+# BenchmarkServeCampaignsRead_2k serves GET /v1/campaigns through the
+# daemon's handler, response encoding included. Profiles land under the
 # ignored prof/ directory for interactive pprof sessions; the compiled
 # test binary is removed once the reports print.
 profile-serve:
@@ -227,4 +249,11 @@ profile-serve:
 	$(GO) tool pprof -top -nodecount=10 prof/serve.test prof/serve_mutex.prof
 	@echo "=== block top-10 ==="
 	$(GO) tool pprof -top -nodecount=10 prof/serve.test prof/serve_block.prof
+	$(GO) test -run XXX -bench 'BenchmarkServeCampaignsRead_2k$$' -benchtime 2000x -benchmem \
+		-cpuprofile prof/read_cpu.prof -memprofile prof/read_mem.prof \
+		-o prof/serve.test ./internal/serve/
+	@echo "=== campaigns read: cpu top-10 ==="
+	$(GO) tool pprof -top -nodecount=10 prof/serve.test prof/read_cpu.prof
+	@echo "=== campaigns read: alloc_space top-10 ==="
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space prof/serve.test prof/read_mem.prof
 	@rm -f prof/serve.test

@@ -285,3 +285,40 @@ func TestObservationsRequireOwner(t *testing.T) {
 		t.Fatalf("read without owner = %d", code)
 	}
 }
+
+// TestUnknownScopeIs404 checks that a read scoped to a job or world the
+// daemon does not have answers 404, like /v1/observations?world= and
+// /v1/campaigns/{job}/{id} do, instead of an empty list; unscoped and
+// known-scope reads stay 200.
+func TestUnknownScopeIs404(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueCap: 1, Obs: obs.New()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer drainStore(t, srv.Store())
+
+	code, b := do(t, "GET", ts.URL+"/v1/campaigns", "")
+	if code != 200 || string(b) != "{\n  \"campaigns\": []\n}\n" {
+		t.Fatalf("fresh daemon campaigns = %d %q", code, b)
+	}
+	for _, path := range []string{
+		"/v1/campaigns?job=job-999999",
+		"/v1/clusters?job=job-999999",
+		"/v1/campaigns?world=no-such-world",
+	} {
+		code, b := do(t, "GET", ts.URL+path, "")
+		var e apiError
+		if err := json.Unmarshal(b, &e); code != 404 || err != nil || e.Error == "" {
+			t.Fatalf("GET %s = %d %s, want 404 with an error body", path, code, b)
+		}
+	}
+
+	tick := time.Unix(1700000000, 0).UTC()
+	req := fmt.Sprintf(`{"world":"known","hash":%q,"e2ld":"a.example","tick":%q}`,
+		phash.Hash{Hi: 1}.String(), tick.Format(time.RFC3339Nano))
+	if code, b := do(t, "POST", ts.URL+"/v1/observations", req); code != 200 {
+		t.Fatalf("append = %d %s", code, b)
+	}
+	if code, b := do(t, "GET", ts.URL+"/v1/campaigns?world=known", ""); code != 200 {
+		t.Fatalf("known world campaigns = %d %s", code, b)
+	}
+}

@@ -259,8 +259,9 @@ func (s *Server) handleListObservations(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, "limit must be in [1,1000]")
 		return
 	}
-	// The page and the total come from one snapshot, so next_after is
-	// set exactly when the page stops short of that snapshot's log.
+	// The page and the total come from one snapshot, so next_after
+	// (set by appendObservationsPage) marks exactly a page that stops
+	// short of that snapshot's log.
 	events, total := st.EventsPage(after, int(limit))
 	records := make([]ObservationRecord, 0, len(events))
 	for _, ev := range events {
@@ -272,15 +273,9 @@ func (s *Server) handleListObservations(w http.ResponseWriter, r *http.Request) 
 			Source: ev.Source,
 		})
 	}
-	body := map[string]any{
-		"world":        world,
-		"total":        total,
-		"observations": records,
-	}
-	if n := len(records); n > 0 && records[n-1].Seq < uint64(total) {
-		body["next_after"] = records[n-1].Seq
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeAppended(w, func(b []byte) ([]byte, error) {
+		return appendObservationsPage(b, world, total, records)
+	})
 }
 
 // queryUint parses an optional unsigned query parameter.

@@ -23,8 +23,8 @@ import (
 // because both are proven behaviour-invariant (reports are
 // byte-identical with them on, off, or shared) and concurrency-safe;
 // sharing a world's campaign store is safe because discovery verifies
-// the store's crawl view against the run's own observation stream and
-// falls back to batch clustering on any mismatch.
+// the store's crawl view against the run's own observation stream and,
+// on any mismatch, re-appends the run into a fresh private store.
 type PipelineOwner struct {
 	Obs     *obs.Registry
 	Capture *screenshot.Cache
@@ -104,21 +104,14 @@ func (o *PipelineOwner) Worlds() []string {
 	return keys
 }
 
-// LiveCampaigns projects the registered campaigns of one world (or,
-// with world == "", of every world in key order) onto the live
-// incremental state.
-func (o *PipelineOwner) LiveCampaigns(world string) []CampaignSummary {
-	keys := []string{world}
-	if world == "" {
-		keys = o.Worlds()
-	}
+// LiveCampaigns projects the registered campaigns of every world, in
+// world key order, onto the live incremental state.
+func (o *PipelineOwner) LiveCampaigns() []CampaignSummary {
 	var out []CampaignSummary
-	for _, k := range keys {
-		st := o.world(k, false)
-		if st == nil {
-			continue
+	for _, k := range o.Worlds() {
+		if st := o.world(k, false); st != nil {
+			out = append(out, LiveCampaignSummaries(k, st)...)
 		}
-		out = append(out, LiveCampaignSummaries(k, st)...)
 	}
 	return out
 }

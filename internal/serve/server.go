@@ -71,15 +71,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.store.Drain(ctx)
 }
 
-// writeJSON writes v as indented JSON with status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 type apiError struct {
 	Error string `json:"error"`
 }
@@ -246,21 +237,46 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // handleCampaigns serves the live incremental view by default: the
 // registered campaigns of every world store, projected onto the
 // clustering state all appended observations (crawl, milk, API) have
-// grown so far. ?job= addresses one finished job's discovery-time
-// summaries instead; with a stub runner (no pipeline owner) only the
-// job-scoped view exists.
+// grown so far. ?world= narrows the live view to one world store and
+// ?job= addresses one job's discovery-time summaries instead; with a
+// stub runner (no pipeline owner) only the job-scoped view exists. An
+// unknown job or world is a 404, not an empty list.
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var list []CampaignSummary
-	if job := q.Get("job"); job != "" || s.owner == nil {
+	job, world := q.Get("job"), q.Get("world")
+	switch {
+	case job != "" || s.owner == nil:
+		if !s.jobExists(w, job) {
+			return
+		}
 		list = s.store.Campaigns(job)
-	} else {
-		list = s.owner.LiveCampaigns(q.Get("world"))
+	case world != "":
+		st := s.owner.world(world, false)
+		if st == nil {
+			writeError(w, http.StatusNotFound, "unknown world "+strconv.Quote(world))
+			return
+		}
+		list = LiveCampaignSummaries(world, st)
+	default:
+		list = s.owner.LiveCampaigns()
 	}
-	if list == nil {
-		list = []CampaignSummary{}
+	writeAppended(w, func(b []byte) ([]byte, error) {
+		return appendCampaignsBody(b, list), nil
+	})
+}
+
+// jobExists answers 404 and reports false when a job filter names no
+// job; an empty filter matches every job.
+func (s *Server) jobExists(w http.ResponseWriter, job string) bool {
+	if job == "" {
+		return true
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"campaigns": list})
+	if _, err := s.store.Get(job); err != nil {
+		storeError(w, err)
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
@@ -278,7 +294,11 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	list := s.store.Clusters(r.URL.Query().Get("job"))
+	job := r.URL.Query().Get("job")
+	if !s.jobExists(w, job) {
+		return
+	}
+	list := s.store.Clusters(job)
 	if list == nil {
 		list = []ClusterSummary{}
 	}

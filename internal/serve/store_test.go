@@ -89,7 +89,7 @@ func waitStateWithin(t *testing.T, s *Store, id string, want JobState, within ti
 }
 
 // drainStore shuts the pool down and fails the test on leaked workers.
-func drainStore(t *testing.T, s *Store) {
+func drainStore(t testing.TB, s *Store) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
