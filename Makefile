@@ -19,21 +19,21 @@ test:
 
 # The concurrency-bearing packages: internal/obs (lock-free counters,
 # span list), internal/crawler (worker farm), internal/core (pipeline +
-# batched milking engine + persistent milking pool), internal/cluster
-# (index under one RWMutex, concurrent batch-clustering callers),
-# internal/vclock (batch-tick API), the capture fast path shared across
-# worker pools (internal/imaging buffer pools, internal/screenshot
-# capture cache, internal/phash fused hashing), the script fast path
-# (internal/adscript program cache + decode memo, internal/browser
-# per-tab interpreter reuse), the service job engine (internal/serve
-# store + worker pool + HTTP handlers), the sharded blacklist
-# (internal/gsb concurrent observe/lookup under the milker's poll
-# fan-out), the incremental campaign store (internal/campstore
-# queued appenders and lock-free snapshot readers), the
-# synthetic web the parallel crawl hits (internal/secamp concurrent
-# attack-domain minting, internal/adnet request-keyed fills), plus the
-# root package (worker-count determinism contract on the serialized
-# report, crawl widths included).
+# timetable-walking milking engine + persistent milking pool),
+# internal/cluster (index under one RWMutex, concurrent batch-clustering
+# callers), internal/vclock (clock read by concurrent probes), the
+# capture fast path shared across worker pools (internal/imaging buffer
+# pools, internal/screenshot capture cache, internal/phash fused
+# hashing), the script fast path (internal/adscript program cache +
+# decode memo, internal/browser per-tab interpreter reuse), the service
+# job engine (internal/serve store + worker pool + HTTP handlers), the
+# sharded blacklist (internal/gsb concurrent observe/lookup as crawl
+# workers and milking probes mint domains), the incremental campaign
+# store (internal/campstore queued appenders and lock-free snapshot
+# readers), the synthetic web the parallel crawl hits (internal/secamp
+# concurrent attack-domain minting, internal/adnet request-keyed
+# fills), plus the root package (worker-count determinism contract on
+# the serialized report, crawl widths included).
 test-race:
 	$(GO) test -race ./internal/obs/... ./internal/crawler/... ./internal/core/... \
 		./internal/cluster/... ./internal/vclock/... ./internal/gsb/... \

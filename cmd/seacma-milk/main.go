@@ -52,6 +52,17 @@ func parseFlags(args []string) (*milkConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	// Zero would silently fall back to the milker's defaults while the
+	// summary line reports the flag's value, so both must be positive.
+	if *days < 1 {
+		return nil, fmt.Errorf("-days must be >= 1 (got %d)", *days)
+	}
+	if *interval < 1 {
+		return nil, fmt.Errorf("-interval must be >= 1 (got %d)", *interval)
+	}
+	if *sources < 0 {
+		return nil, fmt.Errorf("-sources must be >= 0 (got %d)", *sources)
+	}
 
 	cfg := seacma.DefaultExperimentConfig()
 	if *tiny {

@@ -43,6 +43,15 @@ func TestParseFlags(t *testing.T) {
 	if mc2.days != 14 {
 		t.Fatalf("default days = %d", mc2.days)
 	}
+	for _, args := range [][]string{
+		{"-days", "-1"}, {"-days", "0"},
+		{"-interval", "-5"}, {"-interval", "0"},
+		{"-sources", "-3"},
+	} {
+		if _, err := parseFlags(args); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: err = %v, want a rejection naming %s", args, err, args[0])
+		}
+	}
 }
 
 // Smoke for the acceptance criterion: a tiny full-pipeline run with

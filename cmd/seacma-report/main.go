@@ -55,6 +55,9 @@ func parseFlags(args []string) (*reportConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	if *table < 0 || *table > 4 {
+		return nil, fmt.Errorf("-table must be in [0,4] (got %d)", *table)
+	}
 
 	cfg := seacma.DefaultExperimentConfig()
 	if *tiny {

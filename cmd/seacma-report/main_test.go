@@ -36,6 +36,11 @@ func TestParseFlags(t *testing.T) {
 	if rc2, _ := parseFlags(nil); rc2.exp.Obs != nil {
 		t.Fatal("registry allocated without -metrics")
 	}
+	for _, table := range []string{"-1", "5", "9"} {
+		if _, err := parseFlags([]string{"-tiny", "-table", table}); err == nil || !strings.Contains(err.Error(), "-table") {
+			t.Errorf("table %s: err = %v, want a rejection", table, err)
+		}
+	}
 }
 
 // Smoke: the discovery-only report renders Table 1 on a tiny world.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -127,11 +128,12 @@ type MilkerConfig struct {
 	ViewportScale int
 	// MaxSources bounds the number of sources (0 = no bound).
 	MaxSources int
-	// Workers is the number of concurrent milking sessions per virtual
-	// tick (default 8). Sessions due at the same virtual instant fan out
-	// across the pool for the order-independent half of the work
-	// (navigation, rendering, hashing) and are committed serially in
-	// source order, so every result is byte-identical for any value.
+	// Workers is the number of concurrent milking sessions per commit
+	// group (default 8 when <= 0, capped at GOMAXPROCS). A group's
+	// sessions fan out across the pool for the order-independent half of
+	// the work (navigation, rendering, hashing) and are committed
+	// serially in (tick, source) order, so every result is
+	// byte-identical for any value.
 	Workers int
 	// Obs receives milking metrics (milk requests, new domains, GSB
 	// polls, VT submissions — totals plus per-virtual-hour series).
@@ -195,7 +197,7 @@ func (c *MilkerConfig) fillDefaults() {
 	if c.ViewportScale == 0 {
 		c.ViewportScale = p.ViewportScale
 	}
-	if c.Workers == 0 {
+	if c.Workers <= 0 {
 		c.Workers = p.Workers
 	}
 	// More probe workers than CPUs is pure oversubscription: probes are
@@ -206,6 +208,25 @@ func (c *MilkerConfig) fillDefaults() {
 	if max := runtime.GOMAXPROCS(0); c.Workers > max {
 		c.Workers = max
 	}
+}
+
+// validate reports a configuration the tracking loop cannot run: after
+// defaults, both periods must be positive and no horizon negative.
+func (c MilkerConfig) validate() error {
+	c.fillDefaults()
+	switch {
+	case c.MilkInterval <= 0:
+		return fmt.Errorf("MilkInterval must be > 0 (got %v)", c.MilkInterval)
+	case c.GSBInterval <= 0:
+		return fmt.Errorf("GSBInterval must be > 0 (got %v)", c.GSBInterval)
+	case c.Duration < 0:
+		return fmt.Errorf("Duration must be >= 0 (got %v)", c.Duration)
+	case c.GSBExtra < 0:
+		return fmt.Errorf("GSBExtra must be >= 0 (got %v)", c.GSBExtra)
+	case c.FinalLookupAfter < 0:
+		return fmt.Errorf("FinalLookupAfter must be >= 0 (got %v)", c.FinalLookupAfter)
+	}
+	return nil
 }
 
 // MilkedDomain is one never-before-seen attack domain harvested by
@@ -301,8 +322,6 @@ type Milker struct {
 	// workers acquire and release concurrently.
 	clientMu sync.Mutex
 	clients  []*devtools.Client
-
-	pollBuf []bool // reusable verdict buffer for poll fan-out
 }
 
 // milkJob is one work batch broadcast to the persistent pool: every
@@ -316,7 +335,6 @@ type Milker struct {
 type milkJob struct {
 	n    int
 	run  func(k int)
-	ctrs []*obs.Counter // per-worker progress counters; nil = uncounted
 	next *atomic.Int64
 	wg   *sync.WaitGroup
 }
@@ -371,7 +389,7 @@ func (m *Milker) hourly(name string, now time.Time) *obs.Counter {
 func (m *Milker) VerifySources(cands []MilkSource) []MilkSource {
 	m.cfg.Obs.Counter("milker_verify_visits_total").Add(int64(len(cands)))
 	probes := make([]milkProbe, len(cands))
-	m.runParallel(len(cands), m.workerCtrs, func(k int) {
+	m.runParallel(len(cands), func(k int) {
 		probes[k] = m.probe(cands[k], nil, time.Time{})
 	})
 	var out []MilkSource
@@ -474,21 +492,16 @@ func (m *Milker) probe(src MilkSource, seen map[string]bool, pinAt time.Time) mi
 }
 
 // runParallel fans run(0..n-1) out across the worker pool, or runs
-// serially for one worker / one item. ctrs, when non-nil, receives one
-// increment per item on the executing worker's counter (the serial path
+// serially for one worker / one item. Each item counts once on the
+// executing worker's milker_sessions_total counter (the serial path
 // counts as worker 0). Batch closures must perform only
 // order-independent work: which worker handles which item can never
 // influence a result.
-func (m *Milker) runParallel(n int, ctrs []*obs.Counter, run func(k int)) {
-	if n == 0 {
-		return
-	}
+func (m *Milker) runParallel(n int, run func(k int)) {
 	if m.cfg.Workers <= 1 || n <= 1 {
 		for k := 0; k < n; k++ {
 			run(k)
-			if ctrs != nil {
-				ctrs[0].Inc()
-			}
+			m.workerCtrs[0].Inc()
 		}
 		return
 	}
@@ -500,7 +513,7 @@ func (m *Milker) runParallel(n int, ctrs []*obs.Counter, run func(k int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	job := milkJob{n: n, run: run, ctrs: ctrs, next: &next, wg: &wg}
+	job := milkJob{n: n, run: run, next: &next, wg: &wg}
 	for w := 0; w < workers; w++ {
 		m.jobs <- job
 	}
@@ -521,9 +534,7 @@ func (m *Milker) startPool() {
 							break
 						}
 						j.run(k)
-						if j.ctrs != nil {
-							j.ctrs[w].Inc()
-						}
+						m.workerCtrs[w].Inc()
 					}
 					j.wg.Done()
 				}
@@ -623,100 +634,16 @@ func interactForDownloads(client *devtools.Client, tab *browser.Tab) {
 	}
 }
 
-// milkTick is one virtual milking instant and the sources due at it.
-type milkTick struct {
-	now time.Time
-	due []int
-}
-
-// probeReq flattens one (tick, source) pair for the worker pool.
-type probeReq struct {
-	si int
-	at time.Time
-}
-
-// milkGroup is one coalesced run of consecutive milking ticks: the unit
-// the scheduler probes as a whole and commits as a whole. One group is
-// reset and refilled for the whole run, so its storage is allocated
-// once.
-type milkGroup struct {
-	ticks  []milkTick
-	reqs   []probeReq
-	probes []milkProbe
-}
-
-func (g *milkGroup) addDue(now time.Time, si int) {
-	if n := len(g.ticks); n == 0 || !g.ticks[n-1].now.Equal(now) {
-		if n < cap(g.ticks) {
-			// Revive a prior tick slot to reuse its due slice.
-			g.ticks = g.ticks[:n+1]
-			g.ticks[n].now = now
-			g.ticks[n].due = g.ticks[n].due[:0]
-		} else {
-			g.ticks = append(g.ticks, milkTick{now: now})
-		}
-	}
-	t := &g.ticks[len(g.ticks)-1]
-	t.due = append(t.due, si)
-}
-
-func (g *milkGroup) reset() { g.ticks = g.ticks[:0] }
-
-// buildReqs flattens the group's ticks into the positional worklist the
-// pool consumes, and sizes the probe output to match. Same-instant
-// timer callbacks fire in scheduling order, which is already ascending
-// source order; the sort makes the commit-order contract explicit
-// rather than inherited.
-func (g *milkGroup) buildReqs() {
-	g.reqs = g.reqs[:0]
-	for i := range g.ticks {
-		t := &g.ticks[i]
-		sort.Ints(t.due)
-		for _, si := range t.due {
-			g.reqs = append(g.reqs, probeReq{si: si, at: t.now})
-		}
-	}
-	if cap(g.probes) < len(g.reqs) {
-		g.probes = make([]milkProbe, len(g.reqs))
-	} else {
-		g.probes = g.probes[:len(g.reqs)]
-		for i := range g.probes {
-			g.probes[i] = milkProbe{}
-		}
-	}
-}
-
 // pollUnlisted looks up every yet-unlisted domain at now and compacts
-// the unlisted index. The lookups are pure reads of the sharded
-// blacklist, so with enough of them pending they fan out across the
-// worker pool; the verdict merge stays serial in domain order either
-// way, so the bookkeeping is schedule-independent.
+// the unlisted index, in domain order.
 func (m *Milker) pollUnlisted(unlisted *[]int, res *MilkingResult, now time.Time) {
 	ul := *unlisted
-	hourlyPolls := m.hourly("milker_gsb_polls_hourly", now)
-	const pollFanoutMin = 64
-	var verdicts []bool
-	if m.cfg.Workers > 1 && len(ul) >= pollFanoutMin {
-		if cap(m.pollBuf) < len(ul) {
-			m.pollBuf = make([]bool, len(ul))
-		}
-		verdicts = m.pollBuf[:len(ul)]
-		m.runParallel(len(ul), nil, func(k int) {
-			verdicts[k] = m.gsb.Lookup(res.Domains[ul[k]].Host, now)
-		})
-	}
+	m.met.gsbPolls.Add(int64(len(ul)))
+	m.hourly("milker_gsb_polls_hourly", now).Add(int64(len(ul)))
 	w := 0
-	for k, di := range ul {
+	for _, di := range ul {
 		d := &res.Domains[di]
-		m.met.gsbPolls.Inc()
-		hourlyPolls.Inc()
-		listed := false
-		if verdicts != nil {
-			listed = verdicts[k]
-		} else {
-			listed = m.gsb.Lookup(d.Host, now)
-		}
-		if listed {
+		if m.gsb.Lookup(d.Host, now) {
 			d.GSBListedAt = now
 		} else {
 			ul[w] = di
@@ -726,32 +653,94 @@ func (m *Milker) pollUnlisted(unlisted *[]int, res *MilkingResult, now time.Time
 	*unlisted = ul[:w]
 }
 
+// maxGroupTicks bounds how many milking ticks one commit group holds:
+// enough to amortize fan-out overhead on small worker pools.
+const maxGroupTicks = 4
+
+// timetable is the tracking protocol's fixed schedule (Section 4.2):
+// a milking tick every milkEvery up to milkUntil and a blacklist poll
+// every pollEvery up to pollUntil, both counted from start.
+type timetable struct {
+	start                time.Time
+	milkEvery, pollEvery time.Duration
+	milkUntil, pollUntil time.Time
+}
+
+// walk visits the timetable's instants in time order, moving clock to
+// each instant before visiting it; on an instant that holds both, the
+// poll goes first. Milking ticks gather into a group that flush closes
+// before every poll, once it holds maxGroupTicks ticks, and after the
+// last instant, so flush runs with the clock at the group's last tick
+// and a poll at T sees every tick before T flushed and none at T. ctx
+// is checked once per instant and before the trailing flush; once it
+// is done, walk drops the open group unflushed and returns ctx.Err().
+// Both periods must be positive.
+func (tt timetable) walk(ctx context.Context, clock *vclock.Clock, poll, milk func(at time.Time), flush func()) error {
+	nextMilk, nextPoll := tt.start.Add(tt.milkEvery), tt.start.Add(tt.pollEvery)
+	group := 0
+	for {
+		milkDue, pollDue := !nextMilk.After(tt.milkUntil), !nextPoll.After(tt.pollUntil)
+		if !milkDue && !pollDue {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		isPoll := pollDue && (!milkDue || !nextPoll.After(nextMilk))
+		isMilk := milkDue && (!pollDue || !nextMilk.After(nextPoll))
+		if group > 0 && (isPoll || group == maxGroupTicks) {
+			flush()
+			group = 0
+		}
+		if isPoll {
+			clock.AdvanceTo(nextPoll)
+			poll(nextPoll)
+			nextPoll = nextPoll.Add(tt.pollEvery)
+		}
+		if isMilk {
+			clock.AdvanceTo(nextMilk)
+			milk(nextMilk)
+			group++
+			nextMilk = nextMilk.Add(tt.milkEvery)
+		}
+	}
+	if group > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		flush()
+	}
+	return nil
+}
+
 // Run executes the full tracking experiment on the virtual clock:
 // milking every MilkInterval for Duration, GSB polling every GSBInterval
 // until Duration+GSBExtra, and a final lookup at
 // Duration+FinalLookupAfter (files are rescanned then too).
 //
-// Consecutive milking ticks coalesce into groups that never extend
-// across a blacklist-poll instant. Each group's sessions are probed
-// across cfg.Workers workers, every probe pinned to its tick's virtual
-// instant, and then committed serially in (tick, source) order before
-// the clock moves on. A poll therefore always sees every session due
-// before it committed, so the result is byte-identical for every worker
-// count (see DESIGN.md).
+// The schedule is walked as a timetable: consecutive milking ticks
+// gather into groups that never extend across a blacklist-poll instant.
+// Each group's sessions are probed across cfg.Workers workers, every
+// probe pinned to its tick's virtual instant, and then committed
+// serially in (tick, source) order before the clock moves on. A poll
+// therefore always sees every session due before it committed, so the
+// result is byte-identical for every worker count (see DESIGN.md).
 func (m *Milker) Run(sources []MilkSource) (*MilkingResult, error) {
 	return m.RunContext(context.Background(), sources)
 }
 
-// RunContext is Run with cancellation. Cancellation is observed at
-// group granularity: once ctx is done every recurring timer declines to
-// re-arm, pending (un-probed) ticks are dropped whole, the final sweep
-// is skipped, and ctx.Err() is returned with the partial result. A
-// group that already started committing always finishes committing —
-// the partial result never contains a partially-committed batch. For a
-// never-cancelled context the behaviour (and the result bytes) are
-// identical to Run — the ctx checks sit outside the probe/commit work
-// and cannot reorder it.
+// RunContext is Run with cancellation. ctx is checked once per
+// timetable instant: once it is done, the un-probed group is dropped
+// whole, the final sweep is skipped, and ctx.Err() is returned with the
+// partial result. A group that already started committing always
+// finishes committing — the partial result never contains a
+// partially-committed batch. For a never-cancelled context the
+// behaviour (and the result bytes) are identical to Run — the ctx
+// checks sit outside the probe/commit work and cannot reorder it.
 func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*MilkingResult, error) {
+	if err := m.cfg.validate(); err != nil {
+		return nil, Errorf("milker: %v", err)
+	}
 	if m.cfg.MaxSources > 0 && len(sources) > m.cfg.MaxSources {
 		sources = sources[:m.cfg.MaxSources]
 	}
@@ -765,91 +754,51 @@ func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*Milking
 	// blacklist verdict, so each poll touches only those instead of
 	// rescanning every domain ever milked.
 	var unlisted []int
-	horizon := m.clock.Now().Add(m.cfg.Duration)
+	horizon := m.start.Add(m.cfg.Duration)
 	gsbHorizon := horizon.Add(m.cfg.GSBExtra)
-
-	// g accumulates due ticks: timer callbacks only record, flush probes
-	// and commits.
-	var g milkGroup
-
-	for i := range sources {
-		i := i
-		if err := m.clock.Every(m.cfg.MilkInterval, horizon, func(now time.Time) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			m.met.milks.Inc()
-			m.hourly("milker_milks_hourly", now).Inc()
-			g.addDue(now, i)
-			return true
-		}); err != nil {
-			return nil, Errorf("milker: schedule: %v", err)
-		}
-	}
-	// Blacklist polling: every GSBInterval, look up every yet-unlisted
-	// domain. Groups never coalesce across a poll instant, so every
-	// session due before this instant has already committed.
-	if err := m.clock.Every(m.cfg.GSBInterval, gsbHorizon, func(now time.Time) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		m.pollUnlisted(&unlisted, res, now)
-		return true
-	}); err != nil {
-		return nil, Errorf("milker: gsb schedule: %v", err)
+	tt := timetable{
+		start:     m.start,
+		milkEvery: m.cfg.MilkInterval, pollEvery: m.cfg.GSBInterval,
+		milkUntil: horizon, pollUntil: gsbHorizon,
 	}
 
-	pollAligned := func(at time.Time) bool {
-		d := at.Sub(m.start)
-		return d > 0 && d%m.cfg.GSBInterval == 0 && !at.After(gsbHorizon)
-	}
-	// maxCoalescedTicks bounds how many milking instants fuse into one
-	// group: enough to amortize fan-out overhead on small worker pools.
-	const maxCoalescedTicks = 4
-	coalesce := func(next time.Time) bool {
-		return !pollAligned(next) && len(g.ticks) < maxCoalescedTicks
-	}
-
+	// ticks are the open group's milking instants; every tick milks
+	// every source, so session k of the group is source k%n at tick k/n.
+	n := len(sources)
+	var ticks []time.Time
+	var probes []milkProbe
 	var milkEvents []campstore.Event
+	milk := func(at time.Time) {
+		m.met.milks.Add(int64(n))
+		m.hourly("milker_milks_hourly", at).Add(int64(n))
+		ticks = append(ticks, at)
+	}
+	poll := func(at time.Time) { m.pollUnlisted(&unlisted, res, at) }
 	flush := func() {
-		if ctx.Err() != nil {
-			// Drop the whole un-probed group: cancellation never emits a
-			// partially-committed batch.
-			g.reset()
-			return
-		}
-		if len(g.ticks) == 0 {
-			return
-		}
-		g.buildReqs()
 		// Probe phase: fans out across the pool. Probes write no shared
 		// state; the seen set they read changes only in the commit phase
 		// below, which re-checks it authoritatively.
-		probes, reqs := g.probes, g.reqs
-		m.runParallel(len(reqs), m.workerCtrs, func(k int) {
-			probes[k] = m.probe(sources[reqs[k].si], seen, reqs[k].at)
+		probes = slices.Grow(probes[:0], len(ticks)*n)[:len(ticks)*n]
+		m.runParallel(len(probes), func(k int) {
+			probes[k] = m.probe(sources[k%n], seen, ticks[k/n])
 		})
 		// Commit phase: replay the group serially in (tick, source)
 		// order, then flush its verified milk events to the campaign
 		// store as one batched append.
-		k := 0
-		for i := range g.ticks {
-			t := &g.ticks[i]
-			for _, si := range t.due {
-				m.commit(sources[si], probes[k], t.now, res, seen, &unlisted, &milkEvents)
-				k++
-			}
+		for k := range probes {
+			m.commit(sources[k%n], probes[k], ticks[k/n], res, seen, &unlisted, &milkEvents)
 		}
 		if m.cfg.Campaigns != nil && len(milkEvents) > 0 {
 			_, _ = m.cfg.Campaigns.AppendBatch(milkEvents)
 			milkEvents = milkEvents[:0]
 		}
-		g.reset()
+		ticks = ticks[:0]
 	}
 
-	m.clock.AdvanceToCoalesced(gsbHorizon.Add(time.Minute), coalesce, flush)
+	err := tt.walk(ctx, m.clock, poll, milk, flush)
+	m.clock.AdvanceTo(gsbHorizon.Add(time.Minute))
 	res.End = horizon
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return res, Errorf("milker: cancelled: %v", err)
 	}
 

@@ -2,27 +2,29 @@ package core_test
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/crawler"
+	"repro/internal/obs"
 	"repro/internal/worldgen"
 )
 
-// flipCtx is a context whose Err flips to Canceled permanently after a
-// fixed number of Err calls — a deterministic way to cancel the milking
-// loop mid-run, deep inside the tick schedule, without wall-clock
-// timing.
-type flipCtx struct {
+// progressCtx is a context whose Err flips to Canceled permanently once
+// the milker has issued at least after milk requests (its
+// milker_milks_total counter) — a deterministic way to cancel the
+// milking loop mid-run, deep inside the tick schedule, without
+// wall-clock timing and without depending on how often the loop calls
+// Err.
+type progressCtx struct {
 	context.Context
-	calls atomic.Int64
+	milks *obs.Counter
 	after int64
 }
 
-func (c *flipCtx) Err() error {
-	if c.calls.Add(1) > c.after {
+func (c *progressCtx) Err() error {
+	if c.milks.Value() >= c.after {
 		return context.Canceled
 	}
 	return nil
@@ -30,14 +32,16 @@ func (c *flipCtx) Err() error {
 
 // milkUnderCtx runs crawl → discovery → milking on a fresh tiny world
 // and returns the verified sources plus the (possibly partial) milking
-// result and error.
-func milkUnderCtx(t *testing.T, ctx context.Context) ([]core.MilkSource, *core.MilkingResult, error) {
+// result and error. reg (nil = uninstrumented) is the pipeline's
+// observability registry.
+func milkUnderCtx(t *testing.T, ctx context.Context, reg *obs.Registry) ([]core.MilkSource, *core.MilkingResult, error) {
 	t.Helper()
 	w := worldgen.Build(worldgen.TinyConfig())
 	p := core.NewPipeline(core.PipelineConfig{
 		Seeds:     seedsFrom(w),
 		Crawler:   crawler.Config{Workers: 1},
 		Discovery: core.PaperDiscoveryParams,
+		Obs:       reg,
 		Milker: core.MilkerConfig{
 			Duration:   6 * time.Hour,
 			GSBExtra:   6 * time.Hour,
@@ -66,16 +70,16 @@ func TestMilkingCancelNeverSplitsBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two pipeline runs")
 	}
-	fullSources, full, err := milkUnderCtx(t, context.Background())
+	fullSources, full, err := milkUnderCtx(t, context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Cancel after enough Err calls to get well into the tick schedule
-	// but well short of its end: with 30 sources and 24 ticks, the milk
-	// timers alone make ~720 Err checks.
-	ctx := &flipCtx{Context: context.Background(), after: 300}
-	sources, partial, err := milkUnderCtx(t, ctx)
+	// Cancel once half the full run's milk requests are issued: well
+	// into the tick schedule but well short of its end.
+	reg := obs.New()
+	ctx := &progressCtx{Context: context.Background(), milks: reg.Counter("milker_milks_total"), after: int64(full.Sessions / 2)}
+	sources, partial, err := milkUnderCtx(t, ctx, reg)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}

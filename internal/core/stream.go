@@ -66,6 +66,13 @@ func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResul
 	if err := p.discoveryParams().Cluster.Validate(); err != nil {
 		return nil, Errorf("clustering: %v", err)
 	}
+	// Likewise a milking schedule the tracking loop cannot run fails
+	// here, not after the whole crawl.
+	if !opts.SkipMilking {
+		if err := p.Cfg.Milker.validate(); err != nil {
+			return nil, Errorf("milker: %v", err)
+		}
+	}
 	out := &RunResult{}
 	emit(ProgressEvent{Phase: "reverse"})
 	out.PublisherHosts, out.NetworksByHost = p.Reverse()

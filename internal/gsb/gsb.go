@@ -78,9 +78,9 @@ type shard struct {
 
 // Blacklist is the simulated Safe Browsing service. It is safe for
 // concurrent use: the entry table is sharded by domain hash so the
-// milker's parallel poll fan-out and concurrent probe-side
-// observations stop serializing on one mutex, and the load counter is
-// atomic.
+// attack domains that crawl workers and milking probes mint
+// concurrently are observed without serializing on one mutex, and the
+// load counter is atomic.
 type Blacklist struct {
 	profiles map[string]DetectionProfile
 	src      *rng.Source

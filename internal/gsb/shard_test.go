@@ -14,8 +14,8 @@ import (
 // many goroutines — observations and lookups interleaved on overlapping
 // domains — and checks that every domain ends with the same detection
 // fate a serial blacklist assigns. Run under -race this is the shard
-// index's safety contract for the milker's probe fan-out (probe-side mints
-// observing domains while the poll fan-out looks others up).
+// index's safety contract for concurrent mints (crawl workers and
+// milking probes observing domains while other domains are looked up).
 func TestConcurrentObserveAndLookup(t *testing.T) {
 	const domains = 200
 	const workers = 8

@@ -20,166 +20,6 @@ func TestAdvanceMovesTime(t *testing.T) {
 	}
 }
 
-func TestAtRunsInOrder(t *testing.T) {
-	c := New()
-	var order []int
-	mustAt := func(d time.Duration, id int) {
-		if err := c.At(Epoch.Add(d), func(time.Time) { order = append(order, id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAt(3*time.Hour, 3)
-	mustAt(1*time.Hour, 1)
-	mustAt(2*time.Hour, 2)
-	c.Advance(150 * time.Minute)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
-	}
-	c.Advance(time.Hour)
-	if len(order) != 3 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestAtSameInstantFIFO(t *testing.T) {
-	c := New()
-	var order []int
-	at := Epoch.Add(time.Minute)
-	for i := 0; i < 5; i++ {
-		i := i
-		if err := c.At(at, func(time.Time) { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Advance(2 * time.Minute)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order = %v", order)
-		}
-	}
-}
-
-func TestAtPastRejected(t *testing.T) {
-	c := New()
-	c.Advance(time.Hour)
-	if err := c.At(Epoch, func(time.Time) {}); err == nil {
-		t.Fatal("scheduling in the past succeeded")
-	}
-}
-
-func TestAfter(t *testing.T) {
-	c := New()
-	fired := false
-	if err := c.After(10*time.Minute, func(now time.Time) {
-		fired = true
-		if want := Epoch.Add(10 * time.Minute); !now.Equal(want) {
-			t.Errorf("fired at %v, want %v", now, want)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(9 * time.Minute)
-	if fired {
-		t.Fatal("fired early")
-	}
-	c.Advance(2 * time.Minute)
-	if !fired {
-		t.Fatal("never fired")
-	}
-}
-
-func TestEveryTicksAtInterval(t *testing.T) {
-	c := New()
-	var ticks []time.Duration
-	err := c.Every(15*time.Minute, Epoch.Add(time.Hour), func(now time.Time) bool {
-		ticks = append(ticks, now.Sub(Epoch))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(2 * time.Hour)
-	want := []time.Duration{15 * time.Minute, 30 * time.Minute, 45 * time.Minute, 60 * time.Minute}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v", ticks)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v", i, ticks[i], want[i])
-		}
-	}
-}
-
-func TestEveryStopsWhenFnReturnsFalse(t *testing.T) {
-	c := New()
-	n := 0
-	if err := c.Every(time.Minute, time.Time{}, func(time.Time) bool {
-		n++
-		return n < 3
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(time.Hour)
-	if n != 3 {
-		t.Fatalf("ran %d times, want 3", n)
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("%d events still pending", c.Pending())
-	}
-}
-
-func TestEveryRejectsNonPositiveInterval(t *testing.T) {
-	c := New()
-	if err := c.Every(0, time.Time{}, func(time.Time) bool { return true }); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-}
-
-func TestNestedScheduling(t *testing.T) {
-	c := New()
-	var fired []time.Duration
-	if err := c.After(time.Minute, func(now time.Time) {
-		fired = append(fired, c.Since(Epoch))
-		_ = c.After(time.Minute, func(time.Time) {
-			fired = append(fired, c.Since(Epoch))
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(5 * time.Minute)
-	if len(fired) != 2 || fired[0] != time.Minute || fired[1] != 2*time.Minute {
-		t.Fatalf("fired = %v", fired)
-	}
-}
-
-func TestDrainLimit(t *testing.T) {
-	c := New()
-	// A self-rescheduling event would run forever without the limit.
-	var tick func(time.Time)
-	tick = func(time.Time) { _ = c.After(time.Second, tick) }
-	if err := c.After(time.Second, tick); err != nil {
-		t.Fatal(err)
-	}
-	if ran := c.Drain(10); ran != 10 {
-		t.Fatalf("Drain ran %d, want 10", ran)
-	}
-}
-
-func TestNextEvent(t *testing.T) {
-	c := New()
-	if _, ok := c.NextEvent(); ok {
-		t.Fatal("NextEvent on empty queue returned ok")
-	}
-	at := Epoch.Add(time.Hour)
-	if err := c.At(at, func(time.Time) {}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.NextEvent()
-	if !ok || !got.Equal(at) {
-		t.Fatalf("NextEvent = %v, %v", got, ok)
-	}
-}
-
 func TestAdvanceToPastIsNoop(t *testing.T) {
 	c := New()
 	c.Advance(time.Hour)
