@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,5 +107,34 @@ func TestRunTinySmoke(t *testing.T) {
 	}
 	if crawlerTotal == 0 {
 		t.Fatalf("no crawler counters in snapshot: %v", snap.Counters)
+	}
+}
+
+// goldenOutDigest is the SHA-256 of the tiny world's -out session file
+// (seed 1, every publisher). The file carries every session's full
+// instrumentation log, so a crawl that drops or truncates a log before
+// it reaches the writer changes this digest. The crawl is worker-count
+// invariant, so one digest covers every width.
+const goldenOutDigest = "f7ed0d28214154f4e88b7de0942689f38d426556d2e808d06613547c454f33a2"
+
+func TestOutFilePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny pipeline runs")
+	}
+	for _, workers := range []string{"1", "2"} {
+		t.Run("W"+workers, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "sessions.jsonl")
+			var stdout, stderr bytes.Buffer
+			if err := run([]string{"-tiny", "-workers", workers, "-out", out}, &stdout, &stderr); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != goldenOutDigest {
+				t.Fatalf("-out digest %s (%d bytes), want %s", got, len(raw), goldenOutDigest)
+			}
+		})
 	}
 }
