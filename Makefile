@@ -78,10 +78,11 @@ bench-obs:
 # reporting its distance-calls), the concurrent store surface
 # (AppendBatch from 1/4/8 writers queued on the writer lock, plus a
 # read-heavy mix against the store's readers), and one 4-event write
-# into stores of 5k and 50k points (StorePublish_, with B/op).
+# into stores of 5k and 50k points (StorePublish_, with B/op), and the
+# crawl's retained live heap per session (RetainedCrawl, live-B/session).
 # -benchtime 1x keeps a baseline run under a minute; these are
 # regression sentinels, not statistically tight measurements.
-BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_|BenchmarkStorePublish_
+BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_|BenchmarkStorePublish_|BenchmarkRetainedCrawl$$
 # The hashing/rng/batch-clustering kernel sentinels run at a higher
 # benchtime: they are microseconds-to-milliseconds each, so 1x would
 # mostly measure timer noise. BenchmarkRngSplit_ lives in internal/rng
@@ -132,7 +133,11 @@ bench-baseline:
 # into a 5k-point store; and the read guard: one GET /v1/campaigns
 # over 2,000-domain campaigns may allocate at most 1.5x the bytes of
 # one over 200-domain campaigns) count work, not time, so they run on
-# any host.
+# any host. So does the retained-memory guard: after a 150- and a
+# 600-publisher crawl of the default world (milking skipped), each
+# Result held and the heap collected, the live bytes kept per extra
+# crawl session may be at most 48 KiB (a crawl keeps summaries, not
+# instrumentation logs).
 bench-check:
 	@test -f $(BENCH_BASELINE) || { echo "no $(BENCH_BASELINE); run make bench-baseline first"; exit 1; }
 	$(GO) test -run XXX -bench 'BenchmarkFigure2_PipelineEndToEnd$$' -benchtime 1x . | tee BENCH_check.txt
@@ -207,6 +212,14 @@ bench-check:
 	  printf "campaigns read %s B/op at 200 domains, %s B/op at 2k, ratio %.2f (limit 1.5)\n", small, large, ratio; \
 	  exit (ratio > 1.5) ? 1 : 0 }' \
 	  || { echo "FAIL: a /v1/campaigns read over 2k-domain campaigns allocates >1.5x one over 200 — the response encoder allocates per body byte"; exit 1; }
+	@$(GO) test -run XXX -bench 'BenchmarkRetainedCrawl$$' -benchtime 1x . | tee BENCH_retained.txt; \
+	live=$$(awk '$$1 ~ /^BenchmarkRetainedCrawl(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "live-B/session") print $$i }' BENCH_retained.txt); \
+	rm -f BENCH_retained.txt; \
+	if [ -z "$$live" ]; then echo "could not extract retained live-B/session"; exit 1; fi; \
+	awk -v live="$$live" 'BEGIN { \
+	  printf "crawl retains %.1f KiB live heap per session (limit 48 KiB)\n", live / 1024; \
+	  exit (live + 0 > 48 * 1024) ? 1 : 0 }' \
+	  || { echo "FAIL: a finished crawl keeps >48 KiB per session alive — session logs or graphs outlive their commit"; exit 1; }
 	@echo "bench-check OK"
 
 # Profile the milking stage (the pipeline's hot loop) and print where

@@ -7,14 +7,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/crawler"
 	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/sessionio"
@@ -57,6 +61,15 @@ func parseFlags(args []string) (*crawlConfig, error) {
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
+	}
+	if *maxPubs < 0 {
+		return nil, fmt.Errorf("-max must be >= 0 (0 = all), got %d", *maxPubs)
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 0) {
+		return nil, fmt.Errorf("-scale must be a positive finite factor, got %v", *scale)
+	}
+	if *publishers < 0 {
+		return nil, fmt.Errorf("-publishers must be >= 0 (0 = config default), got %d", *publishers)
 	}
 
 	cfg := seacma.DefaultExperimentConfig()
@@ -102,20 +115,26 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	fmt.Fprintf(stderr, "world: %d publishers, %d campaigns; crawling...\n",
 		len(exp.World.Publishers), len(exp.World.Campaigns))
 
-	res, err := exp.Run()
-	if err != nil {
-		return err
-	}
-
+	opts := core.StreamOptions{SkipMilking: true}
+	var out *sessionSink
 	if cc.outFile != "" {
 		f, err := os.Create(cc.outFile)
 		if err != nil {
 			return err
 		}
-		if err := sessionio.Write(f, res.Sessions); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		defer f.Close()
+		out = &sessionSink{f: f}
+		opts.OnProgress, opts.OnSession = out.progress, out.session
+	}
+	// The stream drops each session's log at commit; -out takes the
+	// sessions, logs included, from the commit-order sink instead.
+	res, err := exp.Pipeline.RunStream(context.Background(), opts)
+	if err != nil {
+		return err
+	}
+
+	if out != nil {
+		if err := out.close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %d sessions to %s\n", len(res.Sessions), cc.outFile)
@@ -154,12 +173,53 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		len(res.Discovery.Clusters), len(res.Discovery.Campaigns()),
 		len(res.Discovery.BenignClusters()), res.Discovery.FilteredClusters)
 	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, seacma.FormatTable1(res.Table1()))
+	fmt.Fprint(stdout, seacma.FormatTable1(core.Table1(res.Discovery, exp.World.GSB, exp.World.Clock.Now())))
 	return nil
 }
 
+// sessionSink streams committed sessions into a sessionio file. The
+// file header names the session count, which the crawl's progress
+// ticks carry and which the stream reports before the first session
+// reaches the sink.
+type sessionSink struct {
+	f     *os.File
+	w     *sessionio.Writer
+	total int
+	err   error
+}
+
+func (o *sessionSink) progress(ev core.ProgressEvent) {
+	if ev.Phase == "crawl" && ev.Total > 0 {
+		o.total = ev.Total
+	}
+}
+
+func (o *sessionSink) session(_ int, s *crawler.Session) {
+	if o.err == nil && o.w == nil {
+		o.w, o.err = sessionio.NewWriter(o.f, o.total)
+	}
+	if o.err == nil {
+		o.err = o.w.Write(s)
+	}
+}
+
+// close finishes the file: it writes the header of an empty crawl,
+// flushes, and reports the first write error.
+func (o *sessionSink) close() error {
+	if o.err == nil && o.w == nil {
+		o.w, o.err = sessionio.NewWriter(o.f, 0)
+	}
+	if o.err != nil {
+		return o.err
+	}
+	if err := o.w.Close(); err != nil {
+		return err
+	}
+	return o.f.Close()
+}
+
 func scaleWorld(cfg worldgen.Config, f float64) worldgen.Config {
-	if f == 1.0 || f <= 0 {
+	if f == 1.0 {
 		return cfg
 	}
 	cfg.SeedPublishers = int(float64(cfg.SeedPublishers) * f)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +44,22 @@ func TestParseFlags(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// Out-of-range values fail at parse time with a message instead of
+	// crawling every publisher or being dropped silently.
+	for _, bad := range [][]string{
+		{"-max", "-1"},
+		{"-scale", "-2"},
+		{"-scale", "0"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-publishers", "-3"},
+	} {
+		if _, err := parseFlags(bad); err == nil {
+			t.Errorf("%v accepted", bad)
+		} else if !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("%v: error %q does not name the flag", bad, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,9 +22,12 @@ func main() {
 	cfg := seacma.QuickExperimentConfig()
 	exp := seacma.NewExperiment(cfg)
 	fmt.Println("running the discovery + milking pipeline ...")
-	res, err := exp.Run()
+	// The run writes the released dataset as it ends: the crawl keeps
+	// the browser logs only for the export.
+	dir := "seacma-dataset"
+	res, sum, err := exp.RunExport(context.Background(), dir, 10)
 	if err != nil {
-		log.Println("pipeline failed:", err)
+		log.Println("pipeline or export failed:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("milked %d fresh attack domains from %d sources\n\n",
@@ -47,12 +51,6 @@ func main() {
 	fmt.Printf("%d numbers harvested in real time during milking\n\n", bl.Len())
 
 	// 3. Dataset release (Section 4).
-	dir := "seacma-dataset"
-	sum, err := res.ExportDataset(dir, 10)
-	if err != nil {
-		log.Println("export failed:", err)
-		os.Exit(1)
-	}
 	fmt.Println("=== Released dataset ===")
 	fmt.Printf("wrote %s/: %d campaigns, %d session logs, %d screenshots,\n",
 		dir, sum.Campaigns, sum.SessionLogs, sum.Screenshots)

@@ -1,6 +1,7 @@
 package seacma
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -66,11 +67,7 @@ func logsDigest(t *testing.T, dir string) (string, int) {
 // under dir with no session-log bound.
 func exportQuick(t *testing.T, dir string) dataset.Summary {
 	t.Helper()
-	res, err := NewExperiment(QuickExperimentConfig()).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := res.ExportDataset(dir, 0)
+	_, sum, err := NewExperiment(QuickExperimentConfig()).RunExport(context.Background(), dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,12 @@ package seacma
 //   - scam-phone blacklist access (Section 4.3).
 
 import (
+	"context"
 	"time"
 
+	"repro/internal/browser"
+	"repro/internal/core"
+	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/devtools"
 	"repro/internal/enrich"
@@ -21,12 +25,45 @@ import (
 	"repro/internal/webtx"
 )
 
-// ExportDataset writes the run's release artefacts (campaign index,
-// SE-session browser logs, milking inventories, scam-phone blacklist,
-// and one exemplar screenshot per still-reachable campaign) under dir.
-// maxSessions bounds the number of per-session log files (0 = all).
-func (r *Result) ExportDataset(dir string, maxSessions int) (dataset.Summary, error) {
-	return dataset.Export(dir, r.Sessions, r.Discovery, r.Milking, dataset.Options{
+// RunExport runs the pipeline under ctx, as RunStream does, and writes
+// the run's release artefacts (campaign index, SE-session browser logs,
+// milking inventories, scam-phone blacklist, and one exemplar
+// screenshot per still-reachable campaign) under dir. maxSessions
+// bounds the number of per-session log files (0 = all).
+//
+// Which sessions reached an SE campaign is known only after discovery,
+// and the streamed crawl drops each log at commit. So the run's session
+// sink keeps the log of every session with a hashed landing (only those
+// can join a campaign) until the export has written them; a plain Run
+// pays none of that memory.
+func (e *Experiment) RunExport(ctx context.Context, dir string, maxSessions int) (*Result, dataset.Summary, error) {
+	res, logs, err := e.runKeepingLogs(ctx)
+	if err != nil {
+		return nil, dataset.Summary{}, err
+	}
+	sum, err := res.exportDataset(dir, maxSessions, logs)
+	return res, sum, err
+}
+
+// runKeepingLogs runs the pipeline and returns, keyed by session index,
+// the instrumentation log of every session with a hashed landing.
+func (e *Experiment) runKeepingLogs(ctx context.Context) (*Result, map[int][]browser.Event, error) {
+	logs := map[int][]browser.Event{}
+	res, err := e.run(ctx, core.StreamOptions{OnSession: func(idx int, s *crawler.Session) {
+		for _, l := range s.Landings {
+			if l.Hashed {
+				logs[idx] = s.Events
+				return
+			}
+		}
+	}})
+	return res, logs, err
+}
+
+// exportDataset writes the release artefacts of the run, reading the
+// session logs from logs.
+func (r *Result) exportDataset(dir string, maxSessions int, logs map[int][]browser.Event) (dataset.Summary, error) {
+	return dataset.Export(dir, r.Sessions, logs, r.Discovery, r.Milking, dataset.Options{
 		MaxSessions: maxSessions,
 		Screenshots: r.campaignScreenshot,
 	})

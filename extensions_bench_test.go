@@ -97,7 +97,7 @@ func BenchmarkExtension_DatasetExport(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
-		sum, err := res.ExportDataset(dir, 25)
+		sum, err := res.exportDataset(dir, 25, benchLogs)
 		if err != nil {
 			b.Fatal(err)
 		}

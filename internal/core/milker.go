@@ -45,28 +45,28 @@ type MilkSource struct {
 
 // ExtractMilkingSources walks every SE cluster's backtracking graphs and
 // collects candidate (upstream URL, UA) pairs (Section 3.5): the first
-// off-domain URLs upstream of each attack page.
+// off-domain URLs upstream of each attack page. It builds each SE
+// session's graph from the session's Events.
 func ExtractMilkingSources(sessions []*crawler.Session, disc *DiscoveryResult) []MilkSource {
-	return extractMilkingSources(sessions, disc, nil)
+	graphs := map[int]*btgraph.Graph{}
+	return extractMilkingSources(sessions, disc, func(si, li int) []string {
+		g, ok := graphs[si]
+		if !ok {
+			g = btgraph.FromEvents(sessions[si].Events)
+			graphs[si] = g
+		}
+		cands, _ := g.MilkingCandidates(sessions[si].Landings[li].URL.String())
+		return cands
+	})
 }
 
-// extractMilkingSources is ExtractMilkingSources with an optional
-// prebuilt backtracking-graph cache keyed by session index. The
-// streaming coordinator passes the graphs it already built for
-// attribution, so extraction pays no FromEvents rebuilds; missing
-// entries are built (and memoized) on demand.
-func extractMilkingSources(sessions []*crawler.Session, disc *DiscoveryResult, graphs map[int]*btgraph.Graph) []MilkSource {
-	if graphs == nil {
-		graphs = map[int]*btgraph.Graph{}
-	}
-	graphFor := func(si int) *btgraph.Graph {
-		if g, ok := graphs[si]; ok {
-			return g
-		}
-		g := btgraph.FromEvents(sessions[si].Events)
-		graphs[si] = g
-		return g
-	}
+// extractMilkingSources is ExtractMilkingSources over a candidate
+// lookup: upstream(si, li) returns the milking candidates of landing li
+// of session si, nil when there are none. ExtractMilkingSources builds
+// graphs for the lookup; the streaming coordinator passes the lists its
+// analysis pool computed, because commit has dropped the logs the
+// graphs came from.
+func extractMilkingSources(sessions []*crawler.Session, disc *DiscoveryResult, upstream func(si, li int) []string) []MilkSource {
 	seen := map[string]bool{}
 	var out []MilkSource
 	for _, c := range disc.Campaigns() {
@@ -74,13 +74,7 @@ func extractMilkingSources(sessions []*crawler.Session, disc *DiscoveryResult, g
 			obs := disc.Observations[m]
 			for _, ref := range obs.Refs {
 				s := sessions[ref.Session]
-				l := s.Landings[ref.Landing]
-				g := graphFor(ref.Session)
-				cands, err := g.MilkingCandidates(l.URL.String())
-				if err != nil {
-					continue
-				}
-				for _, cand := range cands {
+				for _, cand := range upstream(ref.Session, ref.Landing) {
 					key := cand + "|" + s.UserAgent.Name
 					if seen[key] {
 						continue

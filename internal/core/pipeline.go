@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/adscript"
-	"repro/internal/btgraph"
 	"repro/internal/campstore"
 	"repro/internal/crawler"
 	"repro/internal/gsb"
@@ -72,7 +71,10 @@ type RunResult struct {
 	// NetworksByHost maps each publisher to the seed networks whose
 	// invariants its page matched.
 	NetworksByHost map[string][]string
-	// Sessions is the crawl output ③/④.
+	// Sessions is the crawl output ③/④. RunStream (and so Run and
+	// RunContext) drops each session's instrumentation log at commit,
+	// so every Events here is nil; StreamOptions.OnSession receives the
+	// logs.
 	Sessions []*crawler.Session
 	// Discovery is the clustering + triage output ⑤.
 	Discovery *DiscoveryResult
@@ -232,12 +234,13 @@ func (p *Pipeline) Milk(sessions []*crawler.Session, disc *DiscoveryResult) ([]M
 // verification and tracking and at every virtual tick of the tracking
 // loop.
 func (p *Pipeline) MilkContext(ctx context.Context, sessions []*crawler.Session, disc *DiscoveryResult) ([]MilkSource, *MilkingResult, error) {
-	return p.milkContext(ctx, sessions, disc, nil)
+	return p.milkContext(ctx, disc, ExtractMilkingSources(sessions, disc))
 }
 
-// milkContext is MilkContext with an optional prebuilt backtracking
-// graph cache from the streaming coordinator (nil from MilkContext).
-func (p *Pipeline) milkContext(ctx context.Context, sessions []*crawler.Session, disc *DiscoveryResult, graphs map[int]*btgraph.Graph) ([]MilkSource, *MilkingResult, error) {
+// milkContext verifies the extracted candidates and tracks the verified
+// sources. MilkContext extracts the candidates from the sessions' logs;
+// the streaming coordinator from the lists it kept at commit.
+func (p *Pipeline) milkContext(ctx context.Context, disc *DiscoveryResult, cands []MilkSource) ([]MilkSource, *MilkingResult, error) {
 	mcfg := p.Cfg.Milker
 	if mcfg.Obs == nil {
 		mcfg.Obs = p.Cfg.Obs
@@ -253,7 +256,6 @@ func (p *Pipeline) milkContext(ctx context.Context, sessions []*crawler.Session,
 	if mcfg.Scripts == nil {
 		mcfg.Scripts = p.Cfg.Scripts
 	}
-	cands := extractMilkingSources(sessions, disc, graphs)
 	milker := NewMilker(p.Internet, p.Clock, p.GSB, p.VT, mcfg)
 	defer milker.Close()
 	verifySpan := p.Cfg.Obs.StartSpan("verify")

@@ -32,6 +32,14 @@ type StreamOptions struct {
 	// per-session commit progress. It is called from the coordinator's
 	// commit goroutine, never concurrently.
 	OnProgress func(ProgressEvent)
+	// OnSession, when non-nil, receives every crawl session as it
+	// commits, in task order, with its instrumentation log (Events)
+	// still attached; the commit drops that log as soon as OnSession
+	// returns. It is called from the commit goroutine, never
+	// concurrently, after the session's crawl progress tick, so a
+	// consumer that needs the session total reads it from OnProgress.
+	// The sink may keep s.Events.
+	OnSession func(idx int, s *crawler.Session)
 }
 
 // RunStream executes the full pipeline through the streaming
@@ -52,9 +60,15 @@ type StreamOptions struct {
 // virtual instants, or candidates a stage-by-stage run would never
 // probe) would perturb the GSB timeline and the report. Verification
 // therefore starts exactly at stream close, at the same virtual instant
-// and over the same candidate list as the per-stage Milk, but reuses
-// the graphs the stream already built, so extraction itself pays no
-// FromEvents rebuilds.
+// and over the same candidate list as the per-stage Milk.
+//
+// The stream keeps summaries, not logs. Each session's backtracking
+// graph lives only while the analysis pool attributes its landings and
+// lists each hashed landing's milking candidates (the first off-domain
+// URLs upstream of it); commit keeps those lists and drops the
+// session's Events, so RunResult.Sessions carries no instrumentation
+// logs. A caller that needs the raw logs takes them from
+// StreamOptions.OnSession.
 func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResult, error) {
 	emit := func(ev ProgressEvent) {
 		if opts.OnProgress != nil {
@@ -80,7 +94,7 @@ func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResul
 		return nil, Errorf("seed reversal found no publishers")
 	}
 	emit(ProgressEvent{Phase: "crawl"})
-	sc := p.newStreamCoordinator(emit)
+	sc := p.newStreamCoordinator(emit, opts.OnSession)
 	if err := sc.consume(ctx, out.NetworksByHost); err != nil {
 		return nil, err
 	}
@@ -103,7 +117,8 @@ func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResul
 	}
 	if !opts.SkipMilking {
 		emit(ProgressEvent{Phase: "milk"})
-		sources, milking, err := p.milkContext(ctx, out.Sessions, disc, sc.graphs)
+		cands := extractMilkingSources(out.Sessions, disc, sc.upstreamOf)
+		sources, milking, err := p.milkContext(ctx, disc, cands)
 		if err != nil {
 			return nil, err
 		}
@@ -118,8 +133,11 @@ func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResul
 type sessionWork struct {
 	idx   int
 	s     *crawler.Session
-	graph *btgraph.Graph
 	attrs []Attribution
+	// upstream holds, per landing, the milking candidates of a hashed
+	// landing (nil for unhashed landings and where the graph cannot
+	// place the landing URL).
+	upstream [][]string
 }
 
 // streamCoordinator owns the in-flight state of one streaming run. All
@@ -136,13 +154,15 @@ type streamCoordinator struct {
 	run     *storeRun
 	collect *obsCollector
 
+	onSession func(int, *crawler.Session)
+
 	total    int
 	sessions []*crawler.Session
-	graphs   map[int]*btgraph.Graph
+	upstream [][][]string // per session, per landing: milking candidates
 	attrs    []Attribution
 }
 
-func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent)) *streamCoordinator {
+func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent), onSession func(int, *crawler.Session)) *streamCoordinator {
 	params := p.discoveryParams()
 	return &streamCoordinator{
 		p:        p,
@@ -152,7 +172,8 @@ func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent)) *streamCoordin
 		params:   params,
 		run:      newStoreRun(params),
 		collect:  newObsCollector(),
-		graphs:   map[int]*btgraph.Graph{},
+
+		onSession: onSession,
 	}
 }
 
@@ -173,6 +194,7 @@ func (sc *streamCoordinator) consume(ctx context.Context, byHost map[string][]st
 	stream, total := farm.CrawlStream(ctx, tasks)
 	sc.total = total
 	sc.sessions = make([]*crawler.Session, total)
+	sc.upstream = make([][][]string, total)
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > total && total > 0 {
@@ -217,26 +239,43 @@ func (sc *streamCoordinator) consume(ctx context.Context, byHost map[string][]st
 	return nil
 }
 
-// analyze runs the per-session stream-side work: backtracking graph and
-// attribution. Pure per-session computation — safe out of order.
+// analyze runs the per-session stream-side work: it builds the
+// backtracking graph, attributes the landings and lists each hashed
+// landing's milking candidates (only hashed landings become
+// observations, so only they can seed a milking source). Pure
+// per-session computation — safe out of order. The graph is dropped on
+// return.
 func (sc *streamCoordinator) analyze(ev crawler.SessionEvent) sessionWork {
-	w := sessionWork{idx: ev.Index, s: ev.Session}
-	if ev.Session == nil || len(ev.Session.Landings) == 0 {
+	s := ev.Session
+	w := sessionWork{idx: ev.Index, s: s}
+	if s == nil || len(s.Landings) == 0 {
 		return w
 	}
 	sc.tracker.Enter("attribute")
-	w.graph = btgraph.FromEvents(ev.Session.Events)
-	w.attrs = attributeSession(ev.Index, ev.Session, w.graph, sc.patterns)
+	g := btgraph.FromEvents(s.Events)
+	w.attrs = attributeSession(ev.Index, s, g, sc.patterns)
+	w.upstream = make([][]string, len(s.Landings))
+	for li, l := range s.Landings {
+		if l.Hashed {
+			w.upstream[li], _ = g.MilkingCandidates(l.URL.String())
+		}
+	}
 	sc.tracker.Exit("attribute")
 	return w
 }
 
-// commitSession folds one session in, in task order.
+// upstreamOf is the stream's milking-candidate table as
+// extractMilkingSources reads it. Observations refer only to hashed
+// landings, whose sessions always have a row.
+func (sc *streamCoordinator) upstreamOf(si, li int) []string {
+	return sc.upstream[si][li]
+}
+
+// commitSession folds one session in, in task order, hands it to the
+// session sink and drops its instrumentation log.
 func (sc *streamCoordinator) commitSession(w sessionWork) {
 	sc.sessions[w.idx] = w.s
-	if w.graph != nil {
-		sc.graphs[w.idx] = w.graph
-	}
+	sc.upstream[w.idx] = w.upstream
 	sc.attrs = append(sc.attrs, w.attrs...)
 	sc.tracker.Enter("discover")
 	events := sc.collect.addSession(w.idx, w.s)
@@ -246,6 +285,13 @@ func (sc *streamCoordinator) commitSession(w sessionWork) {
 	sc.run.append(events)
 	sc.tracker.Exit("discover")
 	sc.emit(ProgressEvent{Phase: "crawl", Committed: w.idx + 1, Total: sc.total})
+	if w.s == nil {
+		return
+	}
+	if sc.onSession != nil {
+		sc.onSession(w.idx, w.s)
+	}
+	w.s.Events = nil
 }
 
 // finishDiscovery runs the θc triage tail once the stream is closed.

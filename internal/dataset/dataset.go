@@ -83,9 +83,12 @@ type fileRecord struct {
 }
 
 // Export writes the dataset under dir. The directory is created; files
-// are overwritten.
-func Export(dir string, sessions []*crawler.Session, disc *core.DiscoveryResult,
-	milk *core.MilkingResult, opts Options) (Summary, error) {
+// are overwritten. logs holds the instrumentation log of each session
+// that may be written, keyed by session index: every session that
+// reached an SE attack must have one, since a streamed crawl keeps no
+// logs in sessions.
+func Export(dir string, sessions []*crawler.Session, logs map[int][]browser.Event,
+	disc *core.DiscoveryResult, milk *core.MilkingResult, opts Options) (Summary, error) {
 	var sum Summary
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return sum, fmt.Errorf("dataset: %w", err)
@@ -127,7 +130,11 @@ func Export(dir string, sessions []*crawler.Session, disc *core.DiscoveryResult,
 		if opts.MaxSessions > 0 && sum.SessionLogs >= opts.MaxSessions {
 			break
 		}
-		if err := writeSessionLog(logsDir, si, sessions[si]); err != nil {
+		events, ok := logs[si]
+		if !ok {
+			return sum, fmt.Errorf("dataset: no log for SE session %d", si)
+		}
+		if err := writeSessionLog(logsDir, si, sessions[si], events); err != nil {
 			return sum, err
 		}
 		sum.SessionLogs++
@@ -194,10 +201,10 @@ func Export(dir string, sessions []*crawler.Session, disc *core.DiscoveryResult,
 	return sum, nil
 }
 
-func writeSessionLog(dir string, idx int, s *crawler.Session) error {
+func writeSessionLog(dir string, idx int, s *crawler.Session, events []browser.Event) error {
 	name := filepath.Join(dir, fmt.Sprintf("session-%05d-%s-%s.jsonl", idx, s.Publisher, s.UserAgent.Name))
-	return writeJSONL(name, len(s.Events), func(i int) any {
-		e := s.Events[i]
+	return writeJSONL(name, len(events), func(i int) any {
+		e := events[i]
 		rec := eventRecord{
 			Kind: e.Kind.String(), Tab: e.Tab, Time: e.Time,
 			From: e.From, To: e.To, Cause: e.Cause, Detail: e.Detail,

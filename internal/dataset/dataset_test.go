@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/browser"
 	"repro/internal/core"
 	"repro/internal/crawler"
 	"repro/internal/imaging"
@@ -61,7 +62,7 @@ func TestExportWritesEverything(t *testing.T) {
 	sessions, disc, milk := fixture(t)
 	dir := t.TempDir()
 	shots := 0
-	sum, err := Export(dir, sessions, disc, milk, Options{
+	sum, err := Export(dir, sessions, logsOf(sessions), disc, milk, Options{
 		MaxSessions: 10,
 		Screenshots: func(campaignID int) (*imaging.Image, bool) {
 			shots++
@@ -127,7 +128,7 @@ func TestExportWritesEverything(t *testing.T) {
 func TestExportWithoutMilkingOrScreenshots(t *testing.T) {
 	sessions, disc, _ := fixture(t)
 	dir := t.TempDir()
-	sum, err := Export(dir, sessions, disc, nil, Options{MaxSessions: 2})
+	sum, err := Export(dir, sessions, logsOf(sessions), disc, nil, Options{MaxSessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +145,27 @@ func TestExportWithoutMilkingOrScreenshots(t *testing.T) {
 
 func TestExportBadDir(t *testing.T) {
 	sessions, disc, milk := fixture(t)
-	if _, err := Export("/proc/definitely/not/writable", sessions, disc, milk, Options{}); err == nil {
+	if _, err := Export("/proc/definitely/not/writable", sessions, logsOf(sessions), disc, milk, Options{}); err == nil {
 		t.Fatal("export into unwritable dir succeeded")
 	}
+}
+
+// An SE session without a log is an error, not an empty log file.
+func TestExportMissingLog(t *testing.T) {
+	sessions, disc, _ := fixture(t)
+	if _, err := Export(t.TempDir(), sessions, nil, disc, nil, Options{}); err == nil {
+		t.Fatal("export without session logs succeeded")
+	}
+}
+
+// logsOf keys every session's log by its index, as a streamed crawl's
+// session sink would.
+func logsOf(sessions []*crawler.Session) map[int][]browser.Event {
+	logs := make(map[int][]browser.Event, len(sessions))
+	for si, s := range sessions {
+		logs[si] = s.Events
+	}
+	return logs
 }
 
 func readJSON(t *testing.T, path string, v any) {

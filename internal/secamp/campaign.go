@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adscript"
 	"repro/internal/dom"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/vclock"
 	"repro/internal/webtx"
@@ -76,8 +77,12 @@ type Campaign struct {
 	mu       sync.Mutex
 	minted   map[string]mintInfo   // attack host -> info
 	pages    map[string]attackPage // attack host -> cached landing page
+	pageQ    []string              // pages' hosts, oldest first
 	fileSeq  int                   // downloads served, for load stats
 	sessions int                   // TDS hits, for load stats
+
+	// Page-memo counters (nil, one nil check each, without a registry).
+	memoHits, memoMisses *obs.Counter
 }
 
 type mintInfo struct {
@@ -91,11 +96,22 @@ type mintInfo struct {
 // — templates, behaviour scripts, and download tokens all derive from
 // host-keyed splits — so the document is built once, sealed, and the
 // same Response served to every session until the domain's TTL burns
-// it. Sealing lets the browser side memoize the render fingerprint and
-// serialization instead of re-walking the tree per fetch.
+// it. The memo holds at most pageMemoCap pages and evicts the oldest
+// first, like the capture cache: hosts are minted in rotation order and
+// a burned host is never served again, so the oldest page is the one
+// least likely to be asked for. Sealing lets the browser side memoize
+// the render fingerprint and serialization instead of re-walking the
+// tree per fetch.
 type attackPage struct {
 	path string
 	resp *webtx.Response
+}
+
+// pageMemoCap bounds a campaign's page memo at the number of hosts that
+// can be live at once: Slots per rotation epoch, each answering for
+// TTLFactor epochs.
+func (c *Campaign) pageMemoCap() int {
+	return max(1, c.Cfg.Slots*c.Cfg.TTLFactor)
 }
 
 // New creates a campaign. index distinguishes same-category campaigns for
@@ -121,6 +137,14 @@ func New(id string, cat Category, index int, cfg Config, clock *vclock.Clock, sr
 		c.TDSHosts = append(c.TDSHosts, fmt.Sprintf("%s%d.info", csrc.Token(7), csrc.Intn(1000)))
 	}
 	return c
+}
+
+// SetObs binds the campaign's page-memo counters
+// (secamp_page_memo_hits_total, secamp_page_memo_misses_total) to reg.
+// Call during setup, before the campaign serves traffic.
+func (c *Campaign) SetObs(reg *obs.Registry) {
+	c.memoHits = reg.Counter("secamp_page_memo_hits_total")
+	c.memoMisses = reg.Counter("secamp_page_memo_misses_total")
 }
 
 // Install registers the campaign's TDS hosts on the internet and records
@@ -251,9 +275,8 @@ func (c *Campaign) serveAttack(req *webtx.Request) *webtx.Response {
 	}
 	ttl := time.Duration(c.Cfg.TTLFactor) * c.Cfg.RotationPeriod
 	if now.After(info.born.Add(ttl)) {
-		// Throw-away domain burned; drop its cached page too — the host
-		// never serves content again.
-		delete(c.pages, host)
+		// Throw-away domain burned: it never serves content again, and
+		// its cached page ages out of the memo.
 		c.mu.Unlock()
 		return webtx.Gone()
 	}
@@ -264,9 +287,11 @@ func (c *Campaign) serveAttack(req *webtx.Request) *webtx.Response {
 	}
 	if page, hit := c.pages[host]; hit && page.path == req.URL.Path {
 		c.mu.Unlock()
+		c.memoHits.Inc()
 		return page.resp
 	}
 	c.mu.Unlock()
+	c.memoMisses.Inc()
 
 	// Build outside the lock: BuildDoc walks template geometry and is the
 	// expensive part. The page is a pure function of (host, path), so a
@@ -277,9 +302,22 @@ func (c *Campaign) serveAttack(req *webtx.Request) *webtx.Response {
 	c.attachBehaviour(doc, host)
 	resp := webtx.DocumentPage(doc.Seal())
 	c.mu.Lock()
-	c.pages[host] = attackPage{path: req.URL.Path, resp: resp}
+	c.storePage(host, attackPage{path: req.URL.Path, resp: resp})
 	c.mu.Unlock()
 	return resp
+}
+
+// storePage memoizes host's page under c.mu, evicting the oldest pages
+// beyond pageMemoCap.
+func (c *Campaign) storePage(host string, page attackPage) {
+	if _, ok := c.pages[host]; !ok {
+		c.pageQ = append(c.pageQ, host)
+	}
+	c.pages[host] = page
+	for len(c.pages) > c.pageMemoCap() {
+		delete(c.pages, c.pageQ[0])
+		c.pageQ = c.pageQ[1:]
+	}
 }
 
 // serveDownload mints a fresh polymorphic binary (Section 4.5: the

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/phash"
 	"repro/internal/rng"
 	"repro/internal/screenshot"
@@ -427,5 +428,40 @@ func TestConcurrentTDSRedirectsAlwaysServe(t *testing.T) {
 		for e := range errs {
 			t.Fatalf("epoch %d: %s", epoch, e)
 		}
+	}
+}
+
+// The attack-page memo serves a repeat request from memory, counts hits
+// and misses, and never holds more pages than the campaign can have
+// live hosts, however many hosts it mints.
+func TestPageMemoBounded(t *testing.T) {
+	c, internet, clock, _ := newTestCampaign(t, FakeSoftware)
+	reg := obs.New()
+	c.SetObs(reg)
+	start := clock.Now()
+	builds := 0
+	for h := 0; h < 40; h++ {
+		at := start.Add(time.Duration(h) * time.Hour)
+		redirect := get(t, internet, c.EntryURL(), webtx.UAChromeMac, at)
+		first := get(t, internet, redirect.Location, webtx.UAChromeMac, at)
+		again := get(t, internet, redirect.Location, webtx.UAChromeMac, at)
+		if first.Status != webtx.StatusOK || again != first {
+			t.Fatalf("hour %d: repeat fetch not served from the memo (status %d)", h, first.Status)
+		}
+		builds++
+		c.mu.Lock()
+		n := len(c.pages)
+		c.mu.Unlock()
+		if n > c.pageMemoCap() {
+			t.Fatalf("hour %d: memo holds %d pages, cap %d", h, n, c.pageMemoCap())
+		}
+	}
+	hits := reg.Counter("secamp_page_memo_hits_total").Value()
+	misses := reg.Counter("secamp_page_memo_misses_total").Value()
+	if hits < int64(builds) || misses == 0 || misses > int64(builds) {
+		t.Fatalf("memo hits %d, misses %d over %d landing pairs", hits, misses, builds)
+	}
+	if minted := len(c.MintedDomains()); minted <= c.pageMemoCap() {
+		t.Fatalf("only %d hosts minted; the test never exceeds the cap %d", minted, c.pageMemoCap())
 	}
 }

@@ -92,20 +92,60 @@ type eventRec struct {
 
 // Write streams sessions to w.
 func Write(w io.Writer, sessions []*crawler.Session) error {
+	sw, err := NewWriter(w, len(sessions))
+	if err != nil {
+		return err
+	}
+	for _, s := range sessions {
+		if err := sw.Write(s); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
+// Writer streams sessions to an io.Writer one at a time, so a producer
+// never holds the whole crawl: a streamed crawl hands each session over
+// as it commits. The header names the session count up front.
+type Writer struct {
+	bw      *bufio.Writer
+	enc     *json.Encoder
+	n, want int
+}
+
+// NewWriter writes the header of a file of n sessions to w.
+func NewWriter(w io.Writer, n int) (*Writer, error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(header{Format: "seacma-sessions", Version: FormatVersion, Sessions: len(sessions)}); err != nil {
-		return fmt.Errorf("sessionio: header: %w", err)
+	if err := enc.Encode(header{Format: "seacma-sessions", Version: FormatVersion, Sessions: n}); err != nil {
+		return nil, fmt.Errorf("sessionio: header: %w", err)
 	}
-	for i, s := range sessions {
-		if s == nil {
-			s = &crawler.Session{}
-		}
-		if err := enc.Encode(toRec(s)); err != nil {
-			return fmt.Errorf("sessionio: session %d: %w", i, err)
-		}
+	return &Writer{bw: bw, enc: enc, want: n}, nil
+}
+
+// Write appends one session; nil writes an empty session.
+func (sw *Writer) Write(s *crawler.Session) error {
+	if s == nil {
+		s = &crawler.Session{}
 	}
-	return bw.Flush()
+	if err := sw.enc.Encode(toRec(s)); err != nil {
+		return fmt.Errorf("sessionio: session %d: %w", sw.n, err)
+	}
+	sw.n++
+	return nil
+}
+
+// Close flushes the buffered output and fails when the number of
+// sessions written differs from the header's. It does not close the
+// underlying writer.
+func (sw *Writer) Close() error {
+	if err := sw.bw.Flush(); err != nil {
+		return err
+	}
+	if sw.n != sw.want {
+		return fmt.Errorf("sessionio: header says %d sessions, wrote %d", sw.want, sw.n)
+	}
+	return nil
 }
 
 // Read loads sessions written by Write.

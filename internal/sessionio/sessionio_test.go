@@ -179,3 +179,22 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// A streaming writer that is handed fewer sessions than its header
+// announced fails at Close rather than leaving a file Read rejects.
+func TestWriterCountMismatch(t *testing.T) {
+	var buf bytes.Buffer
+	sw, err := NewWriter(&buf, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Write(&crawler.Session{Publisher: "p.com"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err == nil {
+		t.Fatal("short stream closed without error")
+	}
+	if _, err := Read(&buf); err == nil {
+		t.Fatal("short stream read back without error")
+	}
+}

@@ -148,6 +148,9 @@ func NewExperiment(cfg ExperimentConfig) *Experiment {
 	w := worldgen.Build(cfg.World)
 	cfg.Obs.SetVirtualNow(w.Clock.Now)
 	w.Internet.SetObs(cfg.Obs)
+	for _, c := range w.Campaigns {
+		c.SetObs(cfg.Obs)
+	}
 	p := core.NewPipeline(core.PipelineConfig{
 		Seeds:         SeedsFromSpecs(w),
 		Crawler:       cfg.Crawler,
@@ -208,11 +211,19 @@ type ProgressEvent = core.ProgressEvent
 // span log. Cancellation is observed in the crawl session feed, between
 // stages and at every milking virtual tick; a cancelled run returns
 // ctx.Err() and no Result.
+//
+// The streamed crawl drops each session's instrumentation log at
+// commit, so Result.Sessions carries no Events; RunExport keeps the
+// logs a dataset export needs.
 func (e *Experiment) RunStream(ctx context.Context, onProgress func(ProgressEvent)) (*Result, error) {
-	res, err := e.Pipeline.RunStream(ctx, core.StreamOptions{
-		SkipMilking: e.Cfg.SkipMilking,
-		OnProgress:  onProgress,
-	})
+	return e.run(ctx, core.StreamOptions{OnProgress: onProgress})
+}
+
+// run executes the pipeline through the streaming coordinator with the
+// experiment's SkipMilking.
+func (e *Experiment) run(ctx context.Context, opts core.StreamOptions) (*Result, error) {
+	opts.SkipMilking = e.Cfg.SkipMilking
+	res, err := e.Pipeline.RunStream(ctx, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package seacma
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -216,9 +217,11 @@ func TestDeterministicExperiments(t *testing.T) {
 }
 
 func TestExportDataset(t *testing.T) {
-	_, res := quickRun(t)
+	if testing.Short() {
+		t.Skip("quick pipeline run")
+	}
 	dir := t.TempDir()
-	sum, err := res.ExportDataset(dir, 5)
+	_, sum, err := NewExperiment(QuickExperimentConfig()).RunExport(context.Background(), dir, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
