@@ -27,7 +27,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -96,7 +96,7 @@ func parseFlags(args []string) (*crawlConfig, error) {
 	}, nil
 }
 
-func run(args []string, stdout, stderr io.Writer) (retErr error) {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr error) {
 	cc, err := parseFlags(args)
 	if err != nil {
 		return err
@@ -115,29 +115,29 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	fmt.Fprintf(stderr, "world: %d publishers, %d campaigns; crawling...\n",
 		len(exp.World.Publishers), len(exp.World.Campaigns))
 
+	// The stream drops each session's log at commit; -out takes the
+	// sessions, logs included, from the commit-order sink instead.
 	opts := core.StreamOptions{SkipMilking: true}
 	var out *sessionSink
 	if cc.outFile != "" {
-		f, err := os.Create(cc.outFile)
-		if err != nil {
+		if out, err = createSink(cc.outFile); err != nil {
 			return err
 		}
-		defer f.Close()
-		out = &sessionSink{f: f}
-		opts.OnProgress, opts.OnSession = out.progress, out.session
+		opts.OnSession = out.session
 	}
-	// The stream drops each session's log at commit; -out takes the
-	// sessions, logs included, from the commit-order sink instead.
-	res, err := exp.Pipeline.RunStream(context.Background(), opts)
-	if err != nil {
-		return err
-	}
-
+	res, err := exp.Pipeline.RunStream(ctx, opts)
 	if out != nil {
-		if err := out.close(); err != nil {
+		if err == nil {
+			err = out.close()
+		}
+		if err != nil {
+			out.discard()
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %d sessions to %s\n", len(res.Sessions), cc.outFile)
+	}
+	if err != nil {
+		return err
 	}
 
 	if err := cc.exp.Obs.WriteFile(cc.metrics); err != nil {
@@ -178,25 +178,25 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 }
 
 // sessionSink streams committed sessions into a sessionio file. The
-// file header names the session count, which the crawl's progress
-// ticks carry and which the stream reports before the first session
-// reaches the sink.
+// header names the crawl's session count, which comes with every
+// session.
 type sessionSink struct {
-	f     *os.File
-	w     *sessionio.Writer
-	total int
-	err   error
+	f   *os.File
+	w   *sessionio.Writer
+	err error
 }
 
-func (o *sessionSink) progress(ev core.ProgressEvent) {
-	if ev.Phase == "crawl" && ev.Total > 0 {
-		o.total = ev.Total
+func createSink(path string) (*sessionSink, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
 	}
+	return &sessionSink{f: f}, nil
 }
 
-func (o *sessionSink) session(_ int, s *crawler.Session) {
+func (o *sessionSink) session(_, total int, s *crawler.Session) {
 	if o.err == nil && o.w == nil {
-		o.w, o.err = sessionio.NewWriter(o.f, o.total)
+		o.w, o.err = sessionio.NewWriter(o.f, total)
 	}
 	if o.err == nil {
 		o.err = o.w.Write(s)
@@ -216,6 +216,16 @@ func (o *sessionSink) close() error {
 		return err
 	}
 	return o.f.Close()
+}
+
+// discard closes and removes the file of a run that failed, so a
+// truncated crawl never passes for crawl output. Only a regular file is
+// removed: an -out naming a device or a pipe stays.
+func (o *sessionSink) discard() {
+	o.f.Close()
+	if fi, err := os.Lstat(o.f.Name()); err == nil && fi.Mode().IsRegular() {
+		os.Remove(o.f.Name())
+	}
 }
 
 func scaleWorld(cfg worldgen.Config, f float64) worldgen.Config {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -82,7 +84,7 @@ func TestRunTinySmoke(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.json")
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-tiny", "-max", "60", "-json", "-metrics", metrics}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-tiny", "-max", "60", "-json", "-metrics", metrics}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	var campaigns []map[string]any
@@ -142,7 +144,7 @@ func TestOutFilePinned(t *testing.T) {
 		t.Run("W"+workers, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "sessions.jsonl")
 			var stdout, stderr bytes.Buffer
-			if err := run([]string{"-tiny", "-workers", workers, "-out", out}, &stdout, &stderr); err != nil {
+			if err := run(context.Background(), []string{"-tiny", "-workers", workers, "-out", out}, &stdout, &stderr); err != nil {
 				t.Fatal(err)
 			}
 			raw, err := os.ReadFile(out)
@@ -151,6 +153,55 @@ func TestOutFilePinned(t *testing.T) {
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != goldenOutDigest {
 				t.Fatalf("-out digest %s (%d bytes), want %s", got, len(raw), goldenOutDigest)
+			}
+		})
+	}
+}
+
+// A run that fails leaves no -out file behind: neither an empty file
+// (the crawl never reached the sink) nor a header and a prefix of the
+// sessions (it failed part way), either of which would pass for crawl
+// output.
+func TestRunFailureLeavesNoOutFile(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		short bool // cheap enough for -short
+		// cancel returns the run's context; it may cancel it once the
+		// out file at path has data.
+		cancel func(path string) (context.Context, func())
+	}{
+		{"cancelled before the crawl", true, func(string) (context.Context, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, cancel
+		}},
+		{"cancelled mid-crawl", false, func(path string) (context.Context, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				for ctx.Err() == nil {
+					if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+						cancel()
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}()
+			return ctx, cancel
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && !tc.short {
+				t.Skip("tiny pipeline run")
+			}
+			out := filepath.Join(t.TempDir(), "sessions.jsonl")
+			ctx, cancel := tc.cancel(out)
+			defer cancel()
+			var stdout, stderr bytes.Buffer
+			if err := run(ctx, []string{"-tiny", "-out", out}, &stdout, &stderr); err == nil {
+				t.Fatal("cancelled run succeeded")
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("failed run left %s behind (stat: %v)", out, err)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -21,30 +22,60 @@ import (
 const goldenExportLogsDigest = "2bec934c055447dd912aed95c6e88015b176479e2f2ba45470a3bbfee0e79ac7"
 
 func TestExportLogsPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick pipeline run")
+	ex := quickExport(t)
+	if ex.sum.SessionLogs == 0 {
+		t.Fatalf("no session logs exported: %+v", ex.sum)
 	}
-	dir := t.TempDir()
-	sum := exportQuick(t, dir)
-	if sum.SessionLogs == 0 {
-		t.Fatalf("no session logs exported: %+v", sum)
+	if ex.logFiles != ex.sum.SessionLogs {
+		t.Fatalf("%d log files on disk, summary says %d", ex.logFiles, ex.sum.SessionLogs)
 	}
-	got, files := logsDigest(t, filepath.Join(dir, "logs"))
-	if files != sum.SessionLogs {
-		t.Fatalf("%d log files on disk, summary says %d", files, sum.SessionLogs)
+	if ex.logsDigest != goldenExportLogsDigest {
+		t.Fatalf("export logs digest %s over %d files, want %s", ex.logsDigest, ex.logFiles, goldenExportLogsDigest)
 	}
-	if got != goldenExportLogsDigest {
-		t.Fatalf("export logs digest %s over %d files, want %s", got, files, goldenExportLogsDigest)
+}
+
+// exportResult is what the shared quick export left on disk.
+type exportResult struct {
+	sum        dataset.Summary
+	logsDigest string
+	logFiles   int
+}
+
+var (
+	exportOnce sync.Once
+	exportRes  exportResult
+	exportErr  error
+)
+
+// quickExport runs the quick configuration through RunExport once per
+// test binary, with no session-log bound, and digests the logs it
+// wrote; the export tests share that one run.
+func quickExport(t *testing.T) exportResult {
+	t.Helper()
+	exportOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "seacma-export")
+		if err != nil {
+			exportErr = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		_, exportRes.sum, exportErr = NewExperiment(QuickExperimentConfig()).RunExport(context.Background(), dir, 0)
+		if exportErr == nil {
+			exportRes.logsDigest, exportRes.logFiles, exportErr = logsDigest(filepath.Join(dir, "logs"))
+		}
+	})
+	if exportErr != nil {
+		t.Fatalf("quick export: %v", exportErr)
 	}
+	return exportRes
 }
 
 // logsDigest hashes every file under dir (name, then contents) in name
 // order and returns the digest and the file count.
-func logsDigest(t *testing.T, dir string) (string, int) {
-	t.Helper()
+func logsDigest(dir string) (string, int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		return "", 0, err
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -55,21 +86,10 @@ func logsDigest(t *testing.T, dir string) (string, int) {
 	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			t.Fatal(err)
+			return "", 0, err
 		}
 		fmt.Fprintf(h, "%s\n%d\n", name, len(raw))
 		h.Write(raw)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), len(names)
-}
-
-// exportQuick runs the quick configuration and exports its dataset
-// under dir with no session-log bound.
-func exportQuick(t *testing.T, dir string) dataset.Summary {
-	t.Helper()
-	_, sum, err := NewExperiment(QuickExperimentConfig()).RunExport(context.Background(), dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum
+	return fmt.Sprintf("%x", h.Sum(nil)), len(names), nil
 }

@@ -49,7 +49,7 @@ func (e *Experiment) RunExport(ctx context.Context, dir string, maxSessions int)
 // the instrumentation log of every session with a hashed landing.
 func (e *Experiment) runKeepingLogs(ctx context.Context) (*Result, map[int][]browser.Event, error) {
 	logs := map[int][]browser.Event{}
-	res, err := e.run(ctx, core.StreamOptions{OnSession: func(idx int, s *crawler.Session) {
+	res, err := e.run(ctx, core.StreamOptions{OnSession: func(idx, _ int, s *crawler.Session) {
 		for _, l := range s.Landings {
 			if l.Hashed {
 				logs[idx] = s.Events

@@ -35,11 +35,9 @@ type StreamOptions struct {
 	// OnSession, when non-nil, receives every crawl session as it
 	// commits, in task order, with its instrumentation log (Events)
 	// still attached; the commit drops that log as soon as OnSession
-	// returns. It is called from the commit goroutine, never
-	// concurrently, after the session's crawl progress tick, so a
-	// consumer that needs the session total reads it from OnProgress.
-	// The sink may keep s.Events.
-	OnSession func(idx int, s *crawler.Session)
+	// returns. total is the crawl's session count. It is called from the
+	// commit goroutine, never concurrently. The sink may keep s.Events.
+	OnSession func(idx, total int, s *crawler.Session)
 }
 
 // RunStream executes the full pipeline through the streaming
@@ -154,7 +152,7 @@ type streamCoordinator struct {
 	run     *storeRun
 	collect *obsCollector
 
-	onSession func(int, *crawler.Session)
+	onSession func(idx, total int, s *crawler.Session)
 
 	total    int
 	sessions []*crawler.Session
@@ -162,7 +160,7 @@ type streamCoordinator struct {
 	attrs    []Attribution
 }
 
-func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent), onSession func(int, *crawler.Session)) *streamCoordinator {
+func (p *Pipeline) newStreamCoordinator(emit func(ProgressEvent), onSession func(idx, total int, s *crawler.Session)) *streamCoordinator {
 	params := p.discoveryParams()
 	return &streamCoordinator{
 		p:        p,
@@ -289,7 +287,7 @@ func (sc *streamCoordinator) commitSession(w sessionWork) {
 		return
 	}
 	if sc.onSession != nil {
-		sc.onSession(w.idx, w.s)
+		sc.onSession(w.idx, sc.total, w.s)
 	}
 	w.s.Events = nil
 }

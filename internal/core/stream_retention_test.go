@@ -32,12 +32,14 @@ func tinyPipeline(workers int) *Pipeline {
 // each copy keeps the log the commit then drops from the original.
 type copySink struct {
 	idx      []int
+	totals   []int
 	sessions []*crawler.Session
 }
 
-func (c *copySink) session(idx int, s *crawler.Session) {
+func (c *copySink) session(idx, total int, s *crawler.Session) {
 	cp := *s
 	c.idx = append(c.idx, idx)
+	c.totals = append(c.totals, total)
 	c.sessions = append(c.sessions, &cp)
 }
 
@@ -77,6 +79,9 @@ func TestStreamDropsLogsAndSinkSeesCrawlAll(t *testing.T) {
 		for i, idx := range sink.idx {
 			if idx != i {
 				t.Fatalf("W%d: sink call %d got session %d, want task order", workers, i, idx)
+			}
+			if sink.totals[i] != len(res.Sessions) {
+				t.Fatalf("W%d: sink call %d got total %d, want %d", workers, i, sink.totals[i], len(res.Sessions))
 			}
 		}
 

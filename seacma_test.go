@@ -1,7 +1,6 @@
 package seacma
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -217,14 +216,7 @@ func TestDeterministicExperiments(t *testing.T) {
 }
 
 func TestExportDataset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quick pipeline run")
-	}
-	dir := t.TempDir()
-	_, sum, err := NewExperiment(QuickExperimentConfig()).RunExport(context.Background(), dir, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := quickExport(t).sum
 	if sum.Campaigns == 0 || sum.Domains == 0 || sum.SessionLogs == 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
