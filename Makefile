@@ -78,11 +78,13 @@ bench-obs:
 # reporting its distance-calls), the concurrent store surface
 # (AppendBatch from 1/4/8 writers queued on the writer lock, plus a
 # read-heavy mix against the store's readers), and one 4-event write
-# into stores of 5k and 50k points (StorePublish_, with B/op), and the
-# crawl's retained live heap per session (RetainedCrawl, live-B/session).
+# into stores of 5k and 50k points (StorePublish_, with B/op), the
+# crawl's retained live heap per session (RetainedCrawl, live-B/session)
+# and the capture cache's retained live heap per entry
+# (CaptureCacheRetained, live-B/entry; it lives in internal/screenshot).
 # -benchtime 1x keeps a baseline run under a minute; these are
 # regression sentinels, not statistically tight measurements.
-BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_|BenchmarkStorePublish_|BenchmarkRetainedCrawl$$
+BENCH_PATTERN = BenchmarkFigure2_PipelineEndToEnd$$|BenchmarkMilking_W|BenchmarkScalars_ClusterTriage|BenchmarkCapturePath_|BenchmarkScriptPath_|BenchmarkIncrementalCluster_|BenchmarkStoreAppend_W|BenchmarkStoreMixed_|BenchmarkStorePublish_|BenchmarkRetainedCrawl$$|BenchmarkCaptureCacheRetained$$
 # The hashing/rng/batch-clustering kernel sentinels run at a higher
 # benchtime: they are microseconds-to-milliseconds each, so 1x would
 # mostly measure timer noise. BenchmarkRngSplit_ lives in internal/rng
@@ -100,20 +102,30 @@ BENCH_BASELINE = BENCH_pipeline.json
 # The GOMAXPROCS suffix is stripped from the names so baselines compare
 # across machines; -benchmem pairs (B/op, allocs/op) and custom metrics
 # (milked-domains, distance-calls, cache-hit-pct, ...) ride along as
-# extra keys.
+# extra keys. A "host" object records the machine the rows came from:
+# nproc, GOMAXPROCS (the stripped name suffix), the Go version, and the
+# goos/goarch/cpu lines go test prints.
 bench-baseline:
-	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . | tee BENCH_pipeline.txt
+	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . ./internal/screenshot/ | tee BENCH_pipeline.txt
 	$(GO) test -run XXX -bench '$(KERNEL_BENCH_PATTERN)' -benchtime 100x -benchmem . ./internal/rng/ ./internal/cluster/ | tee -a BENCH_pipeline.txt
 	$(GO) test -run XXX -bench '$(SERVE_BENCH_PATTERN)' -benchtime 5000x -benchmem ./internal/serve/ | tee -a BENCH_pipeline.txt
-	awk 'BEGIN { print "{"; first = 1 } \
+	awk -v nproc="$$(nproc 2>/dev/null || echo 0)" -v gover="$$($(GO) env GOVERSION)" \
+	     'BEGIN { print "{" } \
+	     /^goos: / && !goos { goos = $$2 } \
+	     /^goarch: / && !goarch { goarch = $$2 } \
+	     /^cpu: / && !cpu { cpu = $$0; sub(/^cpu: /, "", cpu); gsub(/"/, "", cpu) } \
 	     /^Benchmark/ { \
-	       name = $$1; sub(/-[0-9]+$$/, "", name); \
+	       name = $$1; \
+	       if (!procs) { procs = 1; if (match(name, /-[0-9]+$$/)) procs = substr(name, RSTART + 1) } \
+	       sub(/-[0-9]+$$/, "", name); \
 	       extra = ""; \
 	       for (i = 5; i < NF; i += 2) extra = extra sprintf(", \"%s\": %s", $$(i+1), $$i); \
-	       if (!first) printf ",\n"; first = 0; \
-	       printf "  \"%s\": {\"ns_per_op\": %s%s}", name, $$3, extra \
+	       rows = rows sprintf(",\n  \"%s\": {\"ns_per_op\": %s%s}", name, $$3, extra) \
 	     } \
-	     END { print "\n}" }' BENCH_pipeline.txt > $(BENCH_BASELINE)
+	     END { \
+	       printf "  \"host\": {\"nproc\": %d, \"gomaxprocs\": %d, \"go\": \"%s\", \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\"}", \
+	         nproc, procs, gover, goos, goarch, cpu; \
+	       print rows; print "}" }' BENCH_pipeline.txt > $(BENCH_BASELINE)
 	@rm -f BENCH_pipeline.txt
 	@echo "wrote $(BENCH_BASELINE)"
 
@@ -133,11 +145,14 @@ bench-baseline:
 # into a 5k-point store; and the read guard: one GET /v1/campaigns
 # over 2,000-domain campaigns may allocate at most 1.5x the bytes of
 # one over 200-domain campaigns) count work, not time, so they run on
-# any host. So does the retained-memory guard: after a 150- and a
+# any host. So do the two retained-memory guards: after a 150- and a
 # 600-publisher crawl of the default world (milking skipped), each
 # Result held and the heap collected, the live bytes kept per extra
-# crawl session may be at most 48 KiB (a crawl keeps summaries, not
-# instrumentation logs).
+# crawl session may be at most 32 KiB (a crawl keeps summaries, not
+# instrumentation logs); and after 4,096 distinct captures through one
+# capture cache, the documents dropped and the heap collected, the live
+# bytes kept per cache entry may be at most 1 KiB (the cache keeps
+# hashes, not documents).
 bench-check:
 	@test -f $(BENCH_BASELINE) || { echo "no $(BENCH_BASELINE); run make bench-baseline first"; exit 1; }
 	$(GO) test -run XXX -bench 'BenchmarkFigure2_PipelineEndToEnd$$' -benchtime 1x . | tee BENCH_check.txt
@@ -217,9 +232,17 @@ bench-check:
 	rm -f BENCH_retained.txt; \
 	if [ -z "$$live" ]; then echo "could not extract retained live-B/session"; exit 1; fi; \
 	awk -v live="$$live" 'BEGIN { \
-	  printf "crawl retains %.1f KiB live heap per session (limit 48 KiB)\n", live / 1024; \
-	  exit (live + 0 > 48 * 1024) ? 1 : 0 }' \
-	  || { echo "FAIL: a finished crawl keeps >48 KiB per session alive — session logs or graphs outlive their commit"; exit 1; }
+	  printf "crawl retains %.1f KiB live heap per session (limit 32 KiB)\n", live / 1024; \
+	  exit (live + 0 > 32 * 1024) ? 1 : 0 }' \
+	  || { echo "FAIL: a finished crawl keeps >32 KiB per session alive — session logs, graphs or captured documents outlive their commit"; exit 1; }
+	@$(GO) test -run XXX -bench 'BenchmarkCaptureCacheRetained$$' -benchtime 1x ./internal/screenshot/ | tee BENCH_cache.txt; \
+	live=$$(awk '$$1 ~ /^BenchmarkCaptureCacheRetained(-[0-9]+)?$$/ { for (i = 2; i < NF; i++) if ($$(i+1) == "live-B/entry") print $$i }' BENCH_cache.txt); \
+	rm -f BENCH_cache.txt; \
+	if [ -z "$$live" ]; then echo "could not extract capture cache live-B/entry"; exit 1; fi; \
+	awk -v live="$$live" 'BEGIN { \
+	  printf "capture cache retains %.0f B live heap per entry (limit 1024 B)\n", live; \
+	  exit (live + 0 > 1024) ? 1 : 0 }' \
+	  || { echo "FAIL: a capture cache entry keeps >1 KiB alive — the cache pins the documents it captured"; exit 1; }
 	@echo "bench-check OK"
 
 # Profile the milking stage (the pipeline's hot loop) and print where

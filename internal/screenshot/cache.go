@@ -11,11 +11,10 @@ import (
 )
 
 // Default capacity bounds of a capture cache. Hash entries are ~50
-// bytes, so the default hash budget is a few megabytes; paint lists
-// and retained images are heavier and get smaller bounds.
+// bytes, so the default hash budget is a few megabytes; retained
+// images are heavier and get a smaller bound.
 const (
 	DefaultCacheEntries = 1 << 16
-	defaultPaintEntries = 4096
 	defaultImageEntries = 128
 )
 
@@ -36,9 +35,8 @@ func keyFor(fp Fingerprint, opts Options) captureKey {
 // map from (document fingerprint x viewport x noise seed) to the
 // perceptual hash of the rendered screenshot — and, behind the same
 // key, to the rendered pixels for the few callers that need them. It
-// also memoizes the z-sorted paint list per document fingerprint, so
-// cache misses skip the DOM walk + sort when any content-identical
-// document was rendered before.
+// keeps nothing that points into a document: a miss walks and z-sorts
+// the DOM afresh, so no rendered tree outlives its capture.
 //
 // Results are byte-identical to the naive Render + Noise + DHash
 // sequence (the fused fast path is bit-exact, see the property tests),
@@ -52,10 +50,8 @@ type Cache struct {
 	hashQ  fifo[captureKey]
 	images map[captureKey]*imaging.Image
 	imageQ fifo[captureKey]
-	paints map[Fingerprint][]paint
-	paintQ fifo[Fingerprint]
 
-	maxHashes, maxImages, maxPaints int
+	maxHashes, maxImages int
 
 	hits, misses, evictions atomic.Int64
 
@@ -102,10 +98,6 @@ func NewCache(maxEntries int, reg *obs.Registry) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	maxPaints := defaultPaintEntries
-	if maxPaints > maxEntries {
-		maxPaints = maxEntries
-	}
 	maxImages := defaultImageEntries
 	if maxImages > maxEntries {
 		maxImages = maxEntries
@@ -113,10 +105,8 @@ func NewCache(maxEntries int, reg *obs.Registry) *Cache {
 	return &Cache{
 		hashes:    map[captureKey]phash.Hash{},
 		images:    map[captureKey]*imaging.Image{},
-		paints:    map[Fingerprint][]paint{},
 		maxHashes: maxEntries,
 		maxImages: maxImages,
-		maxPaints: maxPaints,
 
 		obsHits:       reg.Counter("capture_cache_hits_total"),
 		obsMisses:     reg.Counter("capture_cache_misses_total"),
@@ -139,7 +129,7 @@ func (c *Cache) Stats() (hits, misses, evictions int64) {
 }
 
 // CaptureHash renders and hashes a document through the fused fast
-// path without memoization: pooled raster, cached-free paint list,
+// path without memoization: pooled raster, freshly walked paint list,
 // noise applied during luminance conversion. Bit-identical to
 // phash.DHash(Render(doc, opts)).
 func CaptureHash(doc *dom.Document, opts Options) phash.Hash {
@@ -175,8 +165,7 @@ func (c *Cache) Hash(doc *dom.Document, opts Options) phash.Hash {
 		return CaptureHash(doc, opts)
 	}
 	opts = normalizeFor(doc, opts)
-	fp := DocFingerprint(doc)
-	key := keyFor(fp, opts)
+	key := keyFor(DocFingerprint(doc), opts)
 
 	c.mu.Lock()
 	if h, ok := c.hashes[key]; ok {
@@ -185,26 +174,14 @@ func (c *Cache) Hash(doc *dom.Document, opts Options) phash.Hash {
 		c.obsHits.Inc()
 		return h
 	}
-	paints, havePaints := c.paints[fp]
 	c.mu.Unlock()
 
 	c.misses.Add(1)
 	c.obsMisses.Inc()
-	if !havePaints && doc != nil && doc.Root != nil {
-		paints = paintList(doc)
-	}
-	img := imaging.NewPooled(opts.Width, opts.Height)
-	if doc != nil && doc.Root != nil {
-		renderPaints(img, doc, paints)
-	}
-	h := phash.DHashNoisy(img, opts.NoiseAmp, opts.NoiseSeed)
-	img.Release()
+	h := CaptureHash(doc, opts)
 
 	c.mu.Lock()
 	c.storeHash(key, h)
-	if !havePaints && paints != nil {
-		c.storePaints(fp, paints)
-	}
 	c.mu.Unlock()
 	c.exportKernelStats()
 	return h
@@ -217,8 +194,7 @@ func (c *Cache) Image(doc *dom.Document, opts Options) *imaging.Image {
 		return Render(doc, opts)
 	}
 	opts = normalizeFor(doc, opts)
-	fp := DocFingerprint(doc)
-	key := keyFor(fp, opts)
+	key := keyFor(DocFingerprint(doc), opts)
 
 	c.mu.Lock()
 	if img, ok := c.images[key]; ok {
@@ -228,19 +204,11 @@ func (c *Cache) Image(doc *dom.Document, opts Options) *imaging.Image {
 		c.obsHits.Inc()
 		return out
 	}
-	paints, havePaints := c.paints[fp]
 	c.mu.Unlock()
 
 	c.misses.Add(1)
 	c.obsMisses.Inc()
-	if !havePaints && doc != nil && doc.Root != nil {
-		paints = paintList(doc)
-	}
-	img := imaging.New(opts.Width, opts.Height)
-	if doc != nil && doc.Root != nil {
-		renderPaints(img, doc, paints)
-	}
-	img.Noise(opts.NoiseAmp, opts.NoiseSeed)
+	img := Render(doc, opts)
 
 	c.mu.Lock()
 	c.storeImage(key, img)
@@ -249,17 +217,14 @@ func (c *Cache) Image(doc *dom.Document, opts Options) *imaging.Image {
 	if _, ok := c.hashes[key]; !ok {
 		c.storeHash(key, phash.DHash(img))
 	}
-	if !havePaints && paints != nil {
-		c.storePaints(fp, paints)
-	}
 	out := img.Clone()
 	c.mu.Unlock()
 	c.exportKernelStats()
 	return out
 }
 
-// storeHash/storeImage/storePaints insert under c.mu, evicting FIFO
-// when a bound is exceeded.
+// storeHash/storeImage insert under c.mu, evicting FIFO when a bound
+// is exceeded.
 func (c *Cache) storeHash(key captureKey, h phash.Hash) {
 	if _, ok := c.hashes[key]; !ok {
 		c.hashQ.push(key)
@@ -294,20 +259,6 @@ func (c *Cache) storeImage(key captureKey, img *imaging.Image) {
 			c.evictions.Add(1)
 			c.obsEvictions.Inc()
 		}
-	}
-}
-
-func (c *Cache) storePaints(fp Fingerprint, paints []paint) {
-	if _, ok := c.paints[fp]; !ok {
-		c.paintQ.push(fp)
-	}
-	c.paints[fp] = paints
-	for len(c.paints) > c.maxPaints {
-		old, ok := c.paintQ.pop()
-		if !ok {
-			break
-		}
-		delete(c.paints, old)
 	}
 }
 

@@ -1,8 +1,11 @@
 package screenshot
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dom"
 	"repro/internal/obs"
@@ -144,6 +147,45 @@ func TestCacheEviction(t *testing.T) {
 	if got := c.Hash(testDoc(0), opts); got != want {
 		t.Fatalf("post-eviction Hash = %v, want %v", got, want)
 	}
+}
+
+// TestCacheKeepsNoDocument checks that the cache holds nothing that
+// points into a captured document: once the caller drops a document,
+// its tree is collectable, whether it went through Hash or Image. A
+// rebuilt, content-identical document still hits, because entries are
+// keyed by content, not by tree.
+func TestCacheKeepsNoDocument(t *testing.T) {
+	const docs = 64
+	c := NewCache(0, nil)
+	hashOpts := Options{Width: 64, Height: 48, NoiseAmp: 2, NoiseSeed: 21}
+	imageOpts := Options{Width: 64, Height: 48, NoiseAmp: 2, NoiseSeed: 22}
+	var freed atomic.Int64
+	capture := func(v uint64) {
+		doc := testDoc(v)
+		runtime.SetFinalizer(doc.Root, func(*dom.Element) { freed.Add(1) })
+		c.Hash(doc, hashOpts)
+		c.Image(doc, imageOpts)
+	}
+	for v := uint64(0); v < docs; v++ {
+		capture(v)
+	}
+	for i := 0; i < 50 && freed.Load() < docs; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := freed.Load(); n != docs {
+		t.Fatalf("%d of %d captured documents were collected; the cache pins the rest", n, docs)
+	}
+
+	_, missesBefore, _ := c.Stats()
+	want := phash.DHash(Render(testDoc(7), hashOpts))
+	if got := c.Hash(testDoc(7), hashOpts); got != want {
+		t.Fatalf("rebuilt document Hash = %v, want %v", got, want)
+	}
+	if _, misses, _ := c.Stats(); misses != missesBefore {
+		t.Fatalf("rebuilt content-identical document missed the cache")
+	}
+	runtime.KeepAlive(c)
 }
 
 // TestCacheConcurrentDeterministic exercises the shared-across-workers

@@ -47,10 +47,10 @@ func (o Options) normalize() Options {
 }
 
 // Render paints the document into a fresh image. This is the naive
-// reference path: it allocates its own canvas, re-derives the paint
-// list, and mutates the pixels with the noise pass. The capture fast
-// path (Cache) produces byte-identical output from pooled buffers and
-// memoized paint lists.
+// reference path: it allocates its own canvas and mutates the pixels
+// with the noise pass. The capture fast path (CaptureHash, Cache)
+// produces byte-identical hashes from pooled buffers, with noise fused
+// into the hash kernel.
 func Render(doc *dom.Document, opts Options) *imaging.Image {
 	opts = opts.normalize()
 	img := imaging.New(opts.Width, opts.Height)
@@ -64,30 +64,18 @@ func Render(doc *dom.Document, opts Options) *imaging.Image {
 	return img
 }
 
-// paint is one z-ordered entry of a document's paint list.
-type paint struct {
-	el    *dom.Element
-	order int
-}
-
-// paintList collects the document's paintable elements in stable
-// z-order (document order breaks ties). The list depends only on the
-// document content, never on the viewport, so the capture cache keeps
-// it per document fingerprint and Render stops re-walking and
-// re-sorting the DOM for every capture of an unchanged doc.
-func paintList(doc *dom.Document) []paint {
-	var paints []paint
-	order := 0
+// paintList collects the document's elements in stable z-order:
+// sort.SliceStable keeps document order among equal z-indices. It is
+// rebuilt for every capture; no cache keeps it, so a rendered tree
+// never outlives the capture that walked it.
+func paintList(doc *dom.Document) []*dom.Element {
+	var paints []*dom.Element
 	doc.Root.Walk(func(el *dom.Element) bool {
-		paints = append(paints, paint{el, order})
-		order++
+		paints = append(paints, el)
 		return true
 	})
 	sort.SliceStable(paints, func(i, j int) bool {
-		if paints[i].el.Style.ZIndex != paints[j].el.Style.ZIndex {
-			return paints[i].el.Style.ZIndex < paints[j].el.Style.ZIndex
-		}
-		return paints[i].order < paints[j].order
+		return paints[i].Style.ZIndex < paints[j].Style.ZIndex
 	})
 	return paints
 }
@@ -97,7 +85,7 @@ func paintList(doc *dom.Document) []paint {
 // from document coordinates onto the target canvas, as a real browser
 // screenshot scales the rendered page rather than cropping its
 // top-left corner.
-func renderPaints(img *imaging.Image, doc *dom.Document, paints []paint) {
+func renderPaints(img *imaging.Image, doc *dom.Document, paints []*dom.Element) {
 	w, h := img.W, img.H
 	docW, docH := doc.Root.W, doc.Root.H
 	if docW <= 0 {
@@ -111,8 +99,7 @@ func renderPaints(img *imaging.Image, doc *dom.Document, paints []paint) {
 	scaleX := func(v int) int { return int(float64(v) * sx) }
 	scaleY := func(v int) int { return int(float64(v) * sy) }
 
-	for _, p := range paints {
-		el := p.el
+	for _, el := range paints {
 		if el.Style.Transparent || el.W <= 0 || el.H <= 0 {
 			continue
 		}
