@@ -131,9 +131,12 @@ bench-baseline:
 
 # Re-run the end-to-end pipeline bench and fail if it regressed more
 # than 20% against the recorded baseline, then check the milking
-# stage's parallel efficiency: on a multi-core host the probe fan-out
-# must make W8 at least 2x faster than W1. The efficiency guard is
-# skipped on hosts with fewer than 4 CPUs — probes cannot run in
+# stage's parallel efficiency: on a host with 4 or more CPUs the probe
+# fan-out must make W8 at least 2x faster than W1; on 2 or 3 CPUs it
+# must make W2 at least 1.2x faster than W1, comparing the means of
+# three -benchtime 3x runs of each: a single 3x run read 0.82-1.51x on
+# a shared 2-vCPU host, the mean of three 1.25-1.35x. The efficiency
+# guard is skipped only on a single CPU — probes cannot run in
 # parallel without cores to run them on, so the ratio is meaningless
 # there.
 # The store guard runs on any host: eight appenders queued on the
@@ -166,19 +169,20 @@ bench-check:
 	  exit (now + 0 > limit) ? 1 : 0 }' \
 	  || { echo "FAIL: end-to-end pipeline bench regressed >20%"; exit 1; }
 	@cpus=$$(nproc 2>/dev/null || echo 1); \
-	if [ "$$cpus" -lt 4 ]; then \
-	  echo "SKIP: parallel-efficiency guard needs >=4 CPUs (have $$cpus)"; \
+	if [ "$$cpus" -lt 2 ]; then \
+	  echo "SKIP: milking scaling guard needs >=2 CPUs (have $$cpus)"; \
 	else \
-	  $(GO) test -run XXX -bench 'BenchmarkMilking_W[18]$$' -benchtime 1x . | tee BENCH_milk.txt; \
-	  w1=$$(awk '$$1 ~ /^BenchmarkMilking_W1(-[0-9]+)?$$/ { print $$3 }' BENCH_milk.txt); \
-	  w8=$$(awk '$$1 ~ /^BenchmarkMilking_W8(-[0-9]+)?$$/ { print $$3 }' BENCH_milk.txt); \
+	  if [ "$$cpus" -ge 4 ]; then wn=8; need=2.0; bt=1x; cnt=1; else wn=2; need=1.2; bt=3x; cnt=3; fi; \
+	  $(GO) test -run XXX -bench "BenchmarkMilking_W[1$$wn]\$$" -benchtime $$bt -count $$cnt . | tee BENCH_milk.txt; \
+	  w1=$$(awk '$$1 ~ /^BenchmarkMilking_W1(-[0-9]+)?$$/ { s += $$3; n++ } END { if (n) printf "%.0f", s / n }' BENCH_milk.txt); \
+	  wk=$$(awk -v k="$$wn" '$$1 ~ ("^BenchmarkMilking_W" k "(-[0-9]+)?$$") { s += $$3; n++ } END { if (n) printf "%.0f", s / n }' BENCH_milk.txt); \
 	  rm -f BENCH_milk.txt; \
-	  if [ -z "$$w1" ] || [ -z "$$w8" ]; then echo "could not extract milking ns/op (w1=$$w1 w8=$$w8)"; exit 1; fi; \
-	  awk -v w1="$$w1" -v w8="$$w8" 'BEGIN { \
-	    ratio = w1 / w8; \
-	    printf "milking W1 %s ns/op, W8 %s ns/op, speedup %.2fx (need >=2x)\n", w1, w8, ratio; \
-	    exit (ratio < 2.0) ? 1 : 0 }' \
-	    || { echo "FAIL: Milking_W8 not >=2x faster than W1 — probe fan-out lost its parallel efficiency"; exit 1; }; \
+	  if [ -z "$$w1" ] || [ -z "$$wk" ]; then echo "could not extract milking ns/op (w1=$$w1 w$$wn=$$wk)"; exit 1; fi; \
+	  awk -v w1="$$w1" -v wk="$$wk" -v n="$$wn" -v need="$$need" 'BEGIN { \
+	    ratio = w1 / wk; \
+	    printf "milking W1 %s ns/op, W%s %s ns/op, speedup %.2fx (need >=%sx)\n", w1, n, wk, ratio, need; \
+	    exit (ratio < need + 0) ? 1 : 0 }' \
+	    || { echo "FAIL: Milking_W$$wn not >=$${need}x faster than W1 — probe fan-out lost its parallel efficiency"; exit 1; }; \
 	fi
 	@$(GO) test -run XXX -bench 'BenchmarkStoreAppend_W[18]$$' -benchtime 20x . | tee BENCH_store.txt; \
 	w1=$$(awk '$$1 ~ /^BenchmarkStoreAppend_W1(-[0-9]+)?$$/ { print $$3 }' BENCH_store.txt); \

@@ -377,7 +377,7 @@ func BenchmarkFigure6_AttackGallery(b *testing.B) {
 func BenchmarkCapturePath_Cold(b *testing.B) {
 	tmpl := secamp.NewTemplate(secamp.FakeSoftware, 0, rng.New(8))
 	doc := tmpl.BuildDoc("http://x.club/l", 1)
-	opts := screenshot.Options{NoiseAmp: 2}
+	opts := screenshot.Options{Noise: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -393,7 +393,7 @@ func BenchmarkCapturePath_Cold(b *testing.B) {
 func BenchmarkCapturePath_Warm(b *testing.B) {
 	tmpl := secamp.NewTemplate(secamp.FakeSoftware, 0, rng.New(8))
 	doc := tmpl.BuildDoc("http://x.club/l", 1)
-	opts := screenshot.Options{NoiseAmp: 2, NoiseSeed: 42}
+	opts := screenshot.Options{Noise: true, NoiseSeed: 42}
 	cache := screenshot.NewCache(0, nil)
 	cache.Hash(doc, opts) // prime: the single miss
 	b.ReportAllocs()
@@ -417,7 +417,7 @@ func BenchmarkHashKernel_Naive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := img.Clone()
-		n.Noise(2, uint64(i)|1)
+		n.Noise(uint64(i) | 1)
 		_ = phash.DHash(n)
 	}
 }
@@ -432,7 +432,7 @@ func BenchmarkHashKernel_Fused(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = phash.DHashNoisy(img, 2, uint64(i)|1)
+		_ = phash.DHashNoisy(img, true, uint64(i)|1)
 	}
 }
 
@@ -445,7 +445,7 @@ func BenchmarkHashKernel_Fused256x192(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = phash.DHashNoisy(img, 2, uint64(i)|1)
+		_ = phash.DHashNoisy(img, true, uint64(i)|1)
 	}
 }
 

@@ -575,15 +575,14 @@ func (b *Browser) ClickElement(tab *Tab, el *dom.Element) (ClickResult, error) {
 	return b.ClickAt(tab, x, y)
 }
 
-// Screenshot rasterises the tab with the session's viewport. Wedged tabs
-// cannot be captured — the reason the paper had to bypass dialog locks.
+// Screenshot rasterises the tab with the session's viewport. It renders
+// afresh on every call: the Capture cache memoizes hashes, not pixels.
+// Wedged tabs cannot be captured — the reason the paper had to bypass
+// dialog locks.
 func (b *Browser) Screenshot(tab *Tab) (*imaging.Image, error) {
 	opts, err := b.captureOpts(tab)
 	if err != nil {
 		return nil, err
-	}
-	if c := b.opts.Capture; c != nil {
-		return c.Image(tab.Doc, opts), nil
 	}
 	return screenshot.Render(tab.Doc, opts), nil
 }
@@ -614,8 +613,12 @@ func (b *Browser) captureOpts(tab *Tab) (screenshot.Options, error) {
 	}
 	// Capture the full document when it declares its size (screenshots of
 	// the same template must align across device profiles for perceptual
-	// clustering); fall back to the viewport for size-less documents.
-	w, h := tab.Doc.Root.W, tab.Doc.Root.H
+	// clustering); fall back to the viewport for size-less or root-less
+	// documents.
+	var w, h int
+	if root := tab.Doc.Root; root != nil {
+		w, h = root.W, root.H
+	}
 	if w <= 0 || h <= 0 {
 		w, h = screenshot.DefaultWidth, screenshot.DefaultHeight
 		if b.opts.DeviceEmulation {
@@ -627,7 +630,7 @@ func (b *Browser) captureOpts(tab *Tab) (screenshot.Options, error) {
 	}
 	return screenshot.Options{
 		Width: w, Height: h,
-		NoiseAmp:  2,
+		Noise:     true,
 		NoiseSeed: hashURL(tab.URL.String()) ^ uint64(b.now().UnixNano()/int64(time.Hour)),
 	}, nil
 }

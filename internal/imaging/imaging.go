@@ -111,43 +111,29 @@ func (im *Image) TextBlock(x, y, w, h int, ink Color, seed uint64) {
 	}
 }
 
-// Noise perturbs each pixel channel by at most amp, using a deterministic
-// per-seed pseudo-random stream. Small noise models capture artefacts
-// (timestamps, dynamic counters) that perceptual hashing must tolerate.
-func (im *Image) Noise(amp int, seed uint64) {
-	if amp <= 0 {
-		return
-	}
-	// The renderer always perturbs with amp=2 (modulus 5); a dedicated
-	// loop lets the compiler strength-reduce the per-channel modulo into
-	// a multiply, which matters because Noise touches three channels of
-	// every pixel of every screenshot the pipeline captures.
-	if amp == 2 {
-		im.noiseMod5(seed)
-		return
-	}
-	s := seed | 1
-	m := uint64(2*amp + 1)
-	for i := 0; i+3 < len(im.Pix); i += 4 {
-		for j := i; j < i+3; j++ { // leave alpha
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			im.Pix[j] = clampByte(int(im.Pix[j]) + int(s%m) - amp)
-		}
-	}
-}
+// NoiseAmp is the capture noise amplitude: Noise moves each pixel
+// channel by at most this much. The pipeline captures every screenshot
+// either at this amplitude or noise-free.
+const NoiseAmp = 2
 
-// noiseMod5 is Noise specialised to amp=2: identical output, constant
-// modulus.
-func (im *Image) noiseMod5(seed uint64) {
+// noiseMod is the modulus of one noise draw: deltas span
+// [-NoiseAmp, NoiseAmp]. Being a constant, the per-channel modulo
+// strength-reduces to a multiply, which matters because the noise pass
+// touches three channels of every pixel of every capture.
+const noiseMod = 2*NoiseAmp + 1
+
+// Noise perturbs each pixel channel by at most NoiseAmp, using a
+// deterministic per-seed pseudo-random stream. Small noise models
+// capture artefacts (timestamps, dynamic counters) that perceptual
+// hashing must tolerate.
+func (im *Image) Noise(seed uint64) {
 	s := seed | 1
 	for i := 0; i+3 < len(im.Pix); i += 4 {
 		for j := i; j < i+3; j++ { // leave alpha
 			s ^= s << 13
 			s ^= s >> 7
 			s ^= s << 17
-			im.Pix[j] = clampByte(int(im.Pix[j]) + int(s%5) - 2)
+			im.Pix[j] = clampByte(int(im.Pix[j]) + int(s%noiseMod) - NoiseAmp)
 		}
 	}
 }
@@ -162,68 +148,30 @@ func clampByte(v int) byte {
 	return byte(v)
 }
 
-// clampLUT5 is the amp=2 clamp table: clampLUT5[v+d+2] = clampByte(v+d)
-// for channel value v in [0,255] and delta d in [-2,2].
-var clampLUT5 = func() (t [260]byte) {
+// clampLUT5 is the add-clamp table of the noise pass:
+// clampLUT5[v+d+NoiseAmp] = clampByte(v+d) for channel value v in
+// [0,255] and delta d in [-NoiseAmp, NoiseAmp].
+var clampLUT5 = func() (t [256 + 2*NoiseAmp]byte) {
 	for i := range t {
-		t[i] = clampByte(i - 2)
+		t[i] = clampByte(i - NoiseAmp)
 	}
 	return
 }()
 
-// ClampLUT5 exposes the amp=2 add-clamp table for fused kernels:
-// t[v + delta + 2] = clampByte(v + delta).
-func ClampLUT5() *[260]byte { return &clampLUT5 }
-
-// AddClampLUT builds the add-clamp table for an arbitrary amplitude:
-// t[v + delta + amp] = clampByte(v + delta) for delta in [-amp, amp].
-func AddClampLUT(amp int) []byte {
-	t := make([]byte, 256+2*amp)
-	for i := range t {
-		t[i] = clampByte(i - amp)
-	}
-	return t
-}
+// ClampLUT5 exposes the noise pass's add-clamp table for fused kernels:
+// t[v + delta + NoiseAmp] = clampByte(v + delta).
+func ClampLUT5() *[256 + 2*NoiseAmp]byte { return &clampLUT5 }
 
 // NoisyGrayInto writes into dst (length W*H) the Rec.601 luminance the
-// image would have after Noise(amp, seed), without mutating the pixel
-// data: the per-seed noise stream is applied to each channel during the
+// image would have after Noise(seed), without mutating the pixel data:
+// the per-seed noise stream is applied to each channel during the
 // luminance conversion, with arithmetic identical to Noise followed by
-// Grayscale. It returns dst. amp <= 0 degenerates to a plain grayscale
-// conversion.
+// Grayscale. It returns dst.
 //
 // This is the capture fast path's fused pass: one traversal replaces
 // the mutate-every-pixel Noise pass plus the separate Grayscale pass,
-// and the source image stays pristine so it can live in a cache.
-func (im *Image) NoisyGrayInto(dst []byte, amp int, seed uint64) []byte {
-	if amp <= 0 {
-		for p, i := 0, 0; p < len(dst); p, i = p+1, i+4 {
-			r, g, b := int(im.Pix[i]), int(im.Pix[i+1]), int(im.Pix[i+2])
-			dst[p] = byte((299*r + 587*g + 114*b) / 1000)
-		}
-		return dst
-	}
-	if amp == 2 {
-		return im.noisyGrayMod5(dst, seed)
-	}
-	s := seed | 1
-	m := uint64(2*amp + 1)
-	for p, i := 0, 0; p < len(dst); p, i = p+1, i+4 {
-		var ch [3]int
-		for j := 0; j < 3; j++ {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			ch[j] = int(clampByte(int(im.Pix[i+j]) + int(s%m) - amp))
-		}
-		dst[p] = byte((299*ch[0] + 587*ch[1] + 114*ch[2]) / 1000)
-	}
-	return dst
-}
-
-// noisyGrayMod5 is NoisyGrayInto specialised to amp=2 (the renderer's
-// only amplitude), mirroring noiseMod5's constant modulus.
-func (im *Image) noisyGrayMod5(dst []byte, seed uint64) []byte {
+// and the source image stays pristine.
+func (im *Image) NoisyGrayInto(dst []byte, seed uint64) []byte {
 	s := seed | 1
 	for p, i := 0, 0; p < len(dst); p, i = p+1, i+4 {
 		var ch [3]int
@@ -231,7 +179,7 @@ func (im *Image) noisyGrayMod5(dst []byte, seed uint64) []byte {
 			s ^= s << 13
 			s ^= s >> 7
 			s ^= s << 17
-			ch[j] = int(clampByte(int(im.Pix[i+j]) + int(s%5) - 2))
+			ch[j] = int(clampByte(int(im.Pix[i+j]) + int(s%noiseMod) - NoiseAmp))
 		}
 		dst[p] = byte((299*ch[0] + 587*ch[1] + 114*ch[2]) / 1000)
 	}

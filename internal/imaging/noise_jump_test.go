@@ -28,19 +28,11 @@ func TestNoiseJumpMatchesStepping(t *testing.T) {
 }
 
 func TestClampLUTs(t *testing.T) {
-	lut5 := ClampLUT5()
+	lut := ClampLUT5()
 	for v := 0; v <= 255; v++ {
-		for d := -2; d <= 2; d++ {
-			if got, want := lut5[v+d+2], clampByte(v+d); got != want {
-				t.Fatalf("lut5[%d+%d]: %d != %d", v, d, got, want)
-			}
-		}
-	}
-	lut := AddClampLUT(7)
-	for v := 0; v <= 255; v++ {
-		for d := -7; d <= 7; d++ {
-			if got, want := lut[v+d+7], clampByte(v+d); got != want {
-				t.Fatalf("lut7[%d+%d]: %d != %d", v, d, got, want)
+		for d := -NoiseAmp; d <= NoiseAmp; d++ {
+			if got, want := lut[v+d+NoiseAmp], clampByte(v+d); got != want {
+				t.Fatalf("lut[%d+%d]: %d != %d", v, d, got, want)
 			}
 		}
 	}

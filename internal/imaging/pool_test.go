@@ -61,26 +61,24 @@ func TestPoolStatsProgress(t *testing.T) {
 }
 
 // TestNoisyGrayMatchesNoiseThenGrayscale is the bit-exactness contract
-// of the fused pass, across amplitudes including the specialised amp=2.
+// of the fused pass.
 func TestNoisyGrayMatchesNoiseThenGrayscale(t *testing.T) {
-	for _, amp := range []int{0, 1, 2, 3, 7} {
-		for _, seed := range []uint64{0, 1, 42, 1 << 60} {
-			img := New(37, 23)
-			// Non-trivial content so clamping paths are exercised.
-			img.FillRect(0, 0, 20, 23, RGB(250, 3, 128))
-			img.FillRect(10, 5, 27, 10, RGB(0, 255, 7))
-			img.TextBlock(2, 2, 30, 18, RGB(9, 9, 9), 99)
+	for _, seed := range []uint64{0, 1, 42, 1 << 60} {
+		img := New(37, 23)
+		// Non-trivial content so clamping paths are exercised.
+		img.FillRect(0, 0, 20, 23, RGB(250, 3, 128))
+		img.FillRect(10, 5, 27, 10, RGB(0, 255, 7))
+		img.TextBlock(2, 2, 30, 18, RGB(9, 9, 9), 99)
 
-			fused := make([]byte, img.W*img.H)
-			img.NoisyGrayInto(fused, amp, seed)
+		fused := make([]byte, img.W*img.H)
+		img.NoisyGrayInto(fused, seed)
 
-			naive := img.Clone()
-			naive.Noise(amp, seed)
-			want := naive.Grayscale()
+		naive := img.Clone()
+		naive.Noise(seed)
+		want := naive.Grayscale()
 
-			if !bytes.Equal(fused, want) {
-				t.Fatalf("amp=%d seed=%d: fused gray differs from Noise+Grayscale", amp, seed)
-			}
+		if !bytes.Equal(fused, want) {
+			t.Fatalf("seed=%d: fused gray differs from Noise+Grayscale", seed)
 		}
 	}
 }
@@ -90,7 +88,7 @@ func TestNoisyGrayLeavesSourceUntouched(t *testing.T) {
 	img.FillRect(3, 3, 9, 9, RGB(120, 40, 200))
 	before := append([]byte(nil), img.Pix...)
 	dst := make([]byte, 16*16)
-	img.NoisyGrayInto(dst, 2, 777)
+	img.NoisyGrayInto(dst, 777)
 	if !bytes.Equal(before, img.Pix) {
 		t.Fatal("NoisyGrayInto mutated the source pixels")
 	}

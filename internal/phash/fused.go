@@ -3,31 +3,32 @@ package phash
 import "repro/internal/imaging"
 
 // DHashNoisy computes the hash the image would have after
-// im.Noise(amp, seed) — bit-identical to that naive sequence — without
-// mutating the image and without materialising any intermediate buffer:
-// noise generation, clamping, Rec.601 luminance and both dual-grid
-// box-filter accumulations are fused into a single pass over Pix. This
-// is the hashing half of the capture fast path.
-func DHashNoisy(im *imaging.Image, amp int, seed uint64) Hash {
+// im.Noise(seed) when noise is set, or as it stands when not —
+// bit-identical to that naive sequence — without mutating the image and
+// without materialising any intermediate buffer: noise generation,
+// clamping, Rec.601 luminance and both dual-grid box-filter
+// accumulations are fused into a single pass over Pix. This is the
+// hashing half of the capture fast path.
+func DHashNoisy(im *imaging.Image, noise bool, seed uint64) Hash {
 	w, h := im.W, im.H
 	if w < 9 || h < 9 {
 		// Tiny rasters upscale, where box-filter cells overlap; fall back
 		// to the reference resampler rather than replicating its clamping.
+		if !noise {
+			return DHash(im)
+		}
 		gray := imaging.GetGray(w * h)
-		im.NoisyGrayInto(gray, amp, seed)
+		im.NoisyGrayInto(gray, seed)
 		out := gridsToHash(
 			imaging.ResizeGrayFrom(gray, w, h, 9, 8),
 			imaging.ResizeGrayFrom(gray, w, h, 8, 9))
 		imaging.PutGray(gray)
 		return out
 	}
-	if amp <= 0 {
+	if !noise {
 		return dualGridPlain(im.Pix, w, h)
 	}
-	if amp == 2 {
-		return dualGridMod5(im.Pix, w, h, seed)
-	}
-	return dualGridGenericAmp(im.Pix, w, h, seed, amp)
+	return dualGridMod5(im.Pix, w, h, seed)
 }
 
 // colSeg is a run of columns whose pixels land in one (9-grid, 8-grid)
@@ -101,7 +102,7 @@ func gridsFromSums(hsum, vsum *[72]int64, w, h int) Hash {
 // stream is order-sensitive, so every variant consumes pixels in the
 // same row-major order the reference does.
 
-// dualGridPlain is the amp<=0 kernel: plain Rec.601 luminance.
+// dualGridPlain is the noise-free kernel: plain Rec.601 luminance.
 func dualGridPlain(pix []byte, w, h int) Hash {
 	var segs [17]colSeg
 	nseg := colSegments(w, &segs)
@@ -134,9 +135,9 @@ func dualGridPlain(pix []byte, w, h int) Hash {
 	return gridsFromSums(&hsum, &vsum, w, h)
 }
 
-// dualGridMod5 is the amp=2 kernel with inline noise generation: the
-// renderer's only amplitude, with the constant-modulus xorshift stream
-// of noiseMod5 and a branchless add-clamp table. The serial xorshift
+// dualGridMod5 is the noisy kernel with inline noise generation: the
+// constant-modulus (2*imaging.NoiseAmp+1 = 5) xorshift stream of
+// imaging's Noise and a branchless add-clamp table. The serial xorshift
 // recurrence is this kernel's latency floor, so rows are processed in
 // pairs: a jump table (M^(3W) over GF(2)) derives each row's start
 // state without replaying its draws, making the two rows' chains
@@ -253,55 +254,6 @@ func dualGridMod5(pix []byte, w, h int, seed uint64) Hash {
 			vsum[vbase+sg.vc] += sum
 		}
 		sRow = s
-	}
-	return gridsFromSums(&hsum, &vsum, w, h)
-}
-
-// dualGridGenericAmp is the inline kernel for arbitrary amplitudes:
-// variable modulus, table clamp sized to the amplitude. Mirrors the
-// generic branch of NoisyGrayInto.
-func dualGridGenericAmp(pix []byte, w, h int, seed uint64, amp int) Hash {
-	lut := imaging.AddClampLUT(amp)
-	m := uint64(2*amp + 1)
-	var segs [17]colSeg
-	nseg := colSegments(w, &segs)
-	var hsum, vsum [72]int64
-	s := seed | 1
-	hr, vr := 0, 0
-	hrNext, vrNext := h/8, h/9
-	i := 0
-	for y := 0; y < h; y++ {
-		if y == hrNext {
-			hr++
-			hrNext = (hr + 1) * h / 8
-		}
-		if y == vrNext {
-			vr++
-			vrNext = (vr + 1) * h / 9
-		}
-		hbase, vbase := hr*9, vr*8
-		for k := 0; k < nseg; k++ {
-			sg := segs[k]
-			var sum int64
-			for x := sg.x0; x < sg.x1; x++ {
-				s ^= s << 13
-				s ^= s >> 7
-				s ^= s << 17
-				r := int(lut[uint64(pix[i])+s%m])
-				s ^= s << 13
-				s ^= s >> 7
-				s ^= s << 17
-				g := int(lut[uint64(pix[i+1])+s%m])
-				s ^= s << 13
-				s ^= s >> 7
-				s ^= s << 17
-				b := int(lut[uint64(pix[i+2])+s%m])
-				sum += int64((299*r + 587*g + 114*b) / 1000)
-				i += 4
-			}
-			hsum[hbase+sg.hc] += sum
-			vsum[vbase+sg.vc] += sum
-		}
 	}
 	return gridsFromSums(&hsum, &vsum, w, h)
 }

@@ -27,7 +27,7 @@ func renderTemplate(template int, noiseSeed uint64) *imaging.Image {
 		im.FillRect(78, 46, 100, 100, imaging.RGB(200, 40, 120))
 		im.TextBlock(10, 160, 236, 24, imaging.Gray(20), 3)
 	}
-	im.Noise(3, noiseSeed)
+	im.Noise(noiseSeed)
 	return im
 }
 

@@ -10,33 +10,28 @@ import (
 	"repro/internal/phash"
 )
 
-// Default capacity bounds of a capture cache. Hash entries are ~50
-// bytes, so the default hash budget is a few megabytes; retained
-// images are heavier and get a smaller bound.
-const (
-	DefaultCacheEntries = 1 << 16
-	defaultImageEntries = 128
-)
+// DefaultCacheEntries is the default capacity bound of a capture cache.
+// Entries are ~50 bytes, so the default budget is a few megabytes.
+const DefaultCacheEntries = 1 << 16
 
 // captureKey content-addresses one capture: what the page looks like
 // (fingerprint), at which raster size, under which noise stream.
 type captureKey struct {
-	fp   Fingerprint
-	w, h int32
-	amp  int32
-	seed uint64
+	fp    Fingerprint
+	w, h  int32
+	noise bool
+	seed  uint64
 }
 
 func keyFor(fp Fingerprint, opts Options) captureKey {
-	return captureKey{fp: fp, w: int32(opts.Width), h: int32(opts.Height), amp: int32(opts.NoiseAmp), seed: opts.NoiseSeed}
+	return captureKey{fp: fp, w: int32(opts.Width), h: int32(opts.Height), noise: opts.Noise, seed: opts.NoiseSeed}
 }
 
 // Cache is the pipeline's capture memo: a bounded, content-addressed
 // map from (document fingerprint x viewport x noise seed) to the
-// perceptual hash of the rendered screenshot — and, behind the same
-// key, to the rendered pixels for the few callers that need them. It
-// keeps nothing that points into a document: a miss walks and z-sorts
-// the DOM afresh, so no rendered tree outlives its capture.
+// perceptual hash of the rendered screenshot. It keeps nothing that
+// points into a document: a miss walks and z-sorts the DOM afresh, so
+// no rendered tree outlives its capture.
 //
 // Results are byte-identical to the naive Render + Noise + DHash
 // sequence (the fused fast path is bit-exact, see the property tests),
@@ -45,13 +40,10 @@ func keyFor(fp Fingerprint, opts Options) captureKey {
 // computation would. Safe for concurrent use. A nil *Cache is valid
 // and computes every capture through the uncached fused path.
 type Cache struct {
-	mu     sync.Mutex
-	hashes map[captureKey]phash.Hash
-	hashQ  fifo[captureKey]
-	images map[captureKey]*imaging.Image
-	imageQ fifo[captureKey]
-
-	maxHashes, maxImages int
+	mu        sync.Mutex
+	hashes    map[captureKey]phash.Hash
+	hashQ     fifo[captureKey]
+	maxHashes int
 
 	hits, misses, evictions atomic.Int64
 
@@ -98,15 +90,9 @@ func NewCache(maxEntries int, reg *obs.Registry) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	maxImages := defaultImageEntries
-	if maxImages > maxEntries {
-		maxImages = maxEntries
-	}
 	return &Cache{
 		hashes:    map[captureKey]phash.Hash{},
-		images:    map[captureKey]*imaging.Image{},
 		maxHashes: maxEntries,
-		maxImages: maxImages,
 
 		obsHits:       reg.Counter("capture_cache_hits_total"),
 		obsMisses:     reg.Counter("capture_cache_misses_total"),
@@ -119,8 +105,8 @@ func NewCache(maxEntries int, reg *obs.Registry) *Cache {
 	}
 }
 
-// Stats reports cumulative cache traffic (hash and image lookups
-// combined). Usable without an obs registry.
+// Stats reports cumulative hash-lookup traffic. Usable without an obs
+// registry.
 func (c *Cache) Stats() (hits, misses, evictions int64) {
 	if c == nil {
 		return 0, 0, 0
@@ -138,7 +124,7 @@ func CaptureHash(doc *dom.Document, opts Options) phash.Hash {
 	if doc != nil && doc.Root != nil {
 		renderPaints(img, doc, paintList(doc))
 	}
-	h := phash.DHashNoisy(img, opts.NoiseAmp, opts.NoiseSeed)
+	h := phash.DHashNoisy(img, opts.Noise, opts.NoiseSeed)
 	img.Release()
 	return h
 }
@@ -150,7 +136,7 @@ func CaptureHash(doc *dom.Document, opts Options) phash.Hash {
 func normalizeFor(doc *dom.Document, opts Options) Options {
 	opts = opts.normalize()
 	if doc == nil || doc.Root == nil {
-		opts.NoiseAmp = 0
+		opts.Noise = false
 		opts.NoiseSeed = 0
 	}
 	return opts
@@ -187,44 +173,8 @@ func (c *Cache) Hash(doc *dom.Document, opts Options) phash.Hash {
 	return h
 }
 
-// Image returns the rendered (noisy) capture, memoized behind the same
-// content address as Hash. The returned image is the caller's own copy.
-func (c *Cache) Image(doc *dom.Document, opts Options) *imaging.Image {
-	if c == nil {
-		return Render(doc, opts)
-	}
-	opts = normalizeFor(doc, opts)
-	key := keyFor(DocFingerprint(doc), opts)
-
-	c.mu.Lock()
-	if img, ok := c.images[key]; ok {
-		out := img.Clone()
-		c.mu.Unlock()
-		c.hits.Add(1)
-		c.obsHits.Inc()
-		return out
-	}
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	c.obsMisses.Inc()
-	img := Render(doc, opts)
-
-	c.mu.Lock()
-	c.storeImage(key, img)
-	// The hash of this capture comes for free downstream; memoize it
-	// too so a later Hash call on the same key hits.
-	if _, ok := c.hashes[key]; !ok {
-		c.storeHash(key, phash.DHash(img))
-	}
-	out := img.Clone()
-	c.mu.Unlock()
-	c.exportKernelStats()
-	return out
-}
-
-// storeHash/storeImage insert under c.mu, evicting FIFO when a bound
-// is exceeded.
+// storeHash inserts under c.mu, evicting FIFO when the bound is
+// exceeded.
 func (c *Cache) storeHash(key captureKey, h phash.Hash) {
 	if _, ok := c.hashes[key]; !ok {
 		c.hashQ.push(key)
@@ -242,24 +192,6 @@ func (c *Cache) storeHash(key captureKey, h phash.Hash) {
 		}
 	}
 	c.obsEntries.Set(int64(len(c.hashes)))
-}
-
-func (c *Cache) storeImage(key captureKey, img *imaging.Image) {
-	if _, ok := c.images[key]; !ok {
-		c.imageQ.push(key)
-	}
-	c.images[key] = img
-	for len(c.images) > c.maxImages {
-		old, ok := c.imageQ.pop()
-		if !ok {
-			break
-		}
-		if _, present := c.images[old]; present {
-			delete(c.images, old)
-			c.evictions.Add(1)
-			c.obsEvictions.Inc()
-		}
-	}
 }
 
 // exportKernelStats publishes the imaging buffer-pool gauges that back

@@ -39,7 +39,7 @@ func testDoc(variant uint64) *dom.Document {
 func TestCacheHashMatchesNaiveAndHits(t *testing.T) {
 	reg := obs.New()
 	c := NewCache(0, reg)
-	opts := Options{Width: 256, Height: 192, NoiseAmp: 2, NoiseSeed: 17}
+	opts := Options{Width: 256, Height: 192, Noise: true, NoiseSeed: 17}
 	doc := testDoc(1)
 
 	want := phash.DHash(Render(doc, opts))
@@ -60,57 +60,19 @@ func TestCacheHashMatchesNaiveAndHits(t *testing.T) {
 
 	// Different content, viewport, or seed must all miss.
 	c.Hash(testDoc(2), opts)
-	c.Hash(doc, Options{Width: 128, Height: 96, NoiseAmp: 2, NoiseSeed: 17})
-	c.Hash(doc, Options{Width: 256, Height: 192, NoiseAmp: 2, NoiseSeed: 18})
+	c.Hash(doc, Options{Width: 128, Height: 96, Noise: true, NoiseSeed: 17})
+	c.Hash(doc, Options{Width: 256, Height: 192, Noise: true, NoiseSeed: 18})
 	if _, misses, _ = c.Stats(); misses != 4 {
 		t.Fatalf("misses = %d, want 4", misses)
 	}
 }
 
-func TestCacheImageMatchesNaiveAndIsACopy(t *testing.T) {
-	c := NewCache(0, nil)
-	opts := Options{Width: 200, Height: 150, NoiseAmp: 2, NoiseSeed: 5}
-	doc := testDoc(3)
-
-	want := Render(doc, opts)
-	got := c.Image(doc, opts)
-	if got.W != want.W || got.H != want.H {
-		t.Fatalf("size %dx%d, want %dx%d", got.W, got.H, want.W, want.H)
-	}
-	for i := range want.Pix {
-		if got.Pix[i] != want.Pix[i] {
-			t.Fatalf("pixel byte %d differs from naive render", i)
-		}
-	}
-
-	// Mutating the returned copy must not poison the cache.
-	got.Pix[0] ^= 0xFF
-	again := c.Image(doc, opts)
-	if again.Pix[0] != want.Pix[0] {
-		t.Fatalf("cache returned aliased pixels")
-	}
-
-	// Image also memoizes the hash behind the same key.
-	before, _, _ := c.Stats()
-	if h := c.Hash(doc, opts); h != phash.DHash(want) {
-		t.Fatalf("Hash after Image = %v, want %v", h, phash.DHash(want))
-	}
-	after, _, _ := c.Stats()
-	if after != before+1 {
-		t.Fatalf("Hash after Image missed the cache")
-	}
-}
-
 func TestCacheNilReceiver(t *testing.T) {
 	var c *Cache
-	opts := Options{Width: 64, Height: 48, NoiseAmp: 2, NoiseSeed: 9}
+	opts := Options{Width: 64, Height: 48, Noise: true, NoiseSeed: 9}
 	doc := testDoc(4)
 	if got, want := c.Hash(doc, opts), phash.DHash(Render(doc, opts)); got != want {
 		t.Fatalf("nil cache Hash = %v, want %v", got, want)
-	}
-	img := c.Image(doc, opts)
-	if img == nil || img.W != 64 {
-		t.Fatalf("nil cache Image broken")
 	}
 	if h, m, e := c.Stats(); h != 0 || m != 0 || e != 0 {
 		t.Fatalf("nil cache stats = %d/%d/%d", h, m, e)
@@ -119,7 +81,7 @@ func TestCacheNilReceiver(t *testing.T) {
 
 func TestCacheNilDocument(t *testing.T) {
 	c := NewCache(0, nil)
-	opts := Options{Width: 32, Height: 24, NoiseAmp: 2, NoiseSeed: 3}
+	opts := Options{Width: 32, Height: 24, Noise: true, NoiseSeed: 3}
 	want := phash.DHash(Render(nil, opts))
 	if got := c.Hash(nil, opts); got != want {
 		t.Fatalf("nil doc Hash = %v, want %v", got, want)
@@ -131,7 +93,7 @@ func TestCacheNilDocument(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(4, nil)
-	opts := Options{Width: 32, Height: 24, NoiseAmp: 1}
+	opts := Options{Width: 32, Height: 24, Noise: true}
 	for v := uint64(0); v < 10; v++ {
 		c.Hash(testDoc(v), opts)
 	}
@@ -151,20 +113,18 @@ func TestCacheEviction(t *testing.T) {
 
 // TestCacheKeepsNoDocument checks that the cache holds nothing that
 // points into a captured document: once the caller drops a document,
-// its tree is collectable, whether it went through Hash or Image. A
+// its tree is collectable. A
 // rebuilt, content-identical document still hits, because entries are
 // keyed by content, not by tree.
 func TestCacheKeepsNoDocument(t *testing.T) {
 	const docs = 64
 	c := NewCache(0, nil)
-	hashOpts := Options{Width: 64, Height: 48, NoiseAmp: 2, NoiseSeed: 21}
-	imageOpts := Options{Width: 64, Height: 48, NoiseAmp: 2, NoiseSeed: 22}
+	hashOpts := Options{Width: 64, Height: 48, Noise: true, NoiseSeed: 21}
 	var freed atomic.Int64
 	capture := func(v uint64) {
 		doc := testDoc(v)
 		runtime.SetFinalizer(doc.Root, func(*dom.Element) { freed.Add(1) })
 		c.Hash(doc, hashOpts)
-		c.Image(doc, imageOpts)
 	}
 	for v := uint64(0); v < docs; v++ {
 		capture(v)
@@ -193,7 +153,7 @@ func TestCacheKeepsNoDocument(t *testing.T) {
 // keys must all observe exactly the naive result.
 func TestCacheConcurrentDeterministic(t *testing.T) {
 	c := NewCache(0, obs.New())
-	opts := Options{Width: 160, Height: 120, NoiseAmp: 2, NoiseSeed: 11}
+	opts := Options{Width: 160, Height: 120, Noise: true, NoiseSeed: 11}
 	const variants = 4
 	want := make([]phash.Hash, variants)
 	for v := 0; v < variants; v++ {
@@ -211,13 +171,6 @@ func TestCacheConcurrentDeterministic(t *testing.T) {
 				if got := c.Hash(testDoc(uint64(v)), opts); got != want[v] {
 					errs <- "hash mismatch under concurrency"
 					return
-				}
-				if i%6 == 0 {
-					img := c.Image(testDoc(uint64(v)), opts)
-					if phash.DHash(img) != want[v] {
-						errs <- "image mismatch under concurrency"
-						return
-					}
 				}
 			}
 		}(g)

@@ -22,9 +22,10 @@ import (
 type Options struct {
 	// Width and Height of the viewport; zero values default to 1024x768.
 	Width, Height int
-	// NoiseAmp adds deterministic per-seed pixel noise, modelling dynamic
-	// page content (counters, timestamps). Zero disables.
-	NoiseAmp int
+	// Noise adds deterministic per-seed pixel noise of amplitude
+	// imaging.NoiseAmp, modelling dynamic page content (counters,
+	// timestamps).
+	Noise bool
 	// NoiseSeed selects the noise pattern (vary per capture).
 	NoiseSeed uint64
 }
@@ -58,8 +59,8 @@ func Render(doc *dom.Document, opts Options) *imaging.Image {
 		return img
 	}
 	renderPaints(img, doc, paintList(doc))
-	if opts.NoiseAmp > 0 {
-		img.Noise(opts.NoiseAmp, opts.NoiseSeed)
+	if opts.Noise {
+		img.Noise(opts.NoiseSeed)
 	}
 	return img
 }

@@ -25,7 +25,7 @@ func BenchmarkRenderQuarterScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Render(doc, Options{Width: 256, Height: 192, NoiseAmp: 2, NoiseSeed: uint64(i)})
+		Render(doc, Options{Width: 256, Height: 192, Noise: true, NoiseSeed: uint64(i)})
 	}
 }
 
@@ -47,7 +47,7 @@ func BenchmarkCaptureCacheRetained(b *testing.B) {
 		before := liveHeap()
 		c := NewCache(0, nil)
 		for j, u := range urls {
-			c.Hash(tmpl.BuildDoc(u, uint64(j)), Options{Width: 256, Height: 192, NoiseAmp: 2, NoiseSeed: uint64(j)})
+			c.Hash(tmpl.BuildDoc(u, uint64(j)), Options{Width: 256, Height: 192, Noise: true, NoiseSeed: uint64(j)})
 		}
 		after := liveHeap()
 		if _, misses, _ := c.Stats(); misses != entries {

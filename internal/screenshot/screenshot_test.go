@@ -86,8 +86,8 @@ func TestSameDocStableHash(t *testing.T) {
 
 func TestNoiseKeepsHashClose(t *testing.T) {
 	doc := colorPage(0x446688)
-	a := Render(doc, Options{Width: 256, Height: 192, NoiseAmp: 3, NoiseSeed: 1})
-	b := Render(doc, Options{Width: 256, Height: 192, NoiseAmp: 3, NoiseSeed: 999})
+	a := Render(doc, Options{Width: 256, Height: 192, Noise: true, NoiseSeed: 1})
+	b := Render(doc, Options{Width: 256, Height: 192, Noise: true, NoiseSeed: 999})
 	if d := phash.Distance(phash.DHash(a), phash.DHash(b)); d > 12 {
 		t.Fatalf("noise moved hash %d bits", d)
 	}

@@ -218,7 +218,7 @@ func TestVisualClusteringProperties(t *testing.T) {
 	cfg := Config{RotationPeriod: time.Hour, Slots: 2, TTLFactor: 3, TDSCount: 1}
 	hashFor := func(c *Campaign, host string) phash.Hash {
 		doc := c.Template.BuildDoc("http://"+host+"/l/index.html", hashHost(host))
-		img := screenshot.Render(doc, screenshot.Options{NoiseAmp: 2, NoiseSeed: hashHost(host)})
+		img := screenshot.Render(doc, screenshot.Options{Noise: true, NoiseSeed: hashHost(host)})
 		return phash.DHash(img)
 	}
 	var campaigns []*Campaign
