@@ -28,7 +28,7 @@ func DHashNoisy(im *imaging.Image, noise bool, seed uint64) Hash {
 	if !noise {
 		return dualGridPlain(im.Pix, w, h)
 	}
-	return dualGridMod5(im.Pix, w, h, seed)
+	return noisyKernel(im.Pix, w, h, seed)
 }
 
 // colSeg is a run of columns whose pixels land in one (9-grid, 8-grid)
@@ -102,24 +102,36 @@ func gridsFromSums(hsum, vsum *[72]int64, w, h int) Hash {
 // stream is order-sensitive, so every variant consumes pixels in the
 // same row-major order the reference does.
 
+// rowCells walks the rows of an h-row raster (h >= 9) in order and
+// yields each row's base index into the 9x8 and 8x9 cell sums. Rows
+// follow imaging.ResizeGrayFrom: cell c covers [c*h/g, (c+1)*h/g).
+type rowCells struct{ h, hr, vr, hrNext, vrNext int }
+
+func newRowCells(h int) rowCells { return rowCells{h: h, hrNext: h / 8, vrNext: h / 9} }
+
+// next returns the cell-sum bases of row y; y must be one past the row
+// of the previous call, starting at 0.
+func (c *rowCells) next(y int) (hb, vb int) {
+	if y == c.hrNext {
+		c.hr++
+		c.hrNext = (c.hr + 1) * c.h / 8
+	}
+	if y == c.vrNext {
+		c.vr++
+		c.vrNext = (c.vr + 1) * c.h / 9
+	}
+	return c.hr * 9, c.vr * 8
+}
+
 // dualGridPlain is the noise-free kernel: plain Rec.601 luminance.
 func dualGridPlain(pix []byte, w, h int) Hash {
 	var segs [17]colSeg
 	nseg := colSegments(w, &segs)
 	var hsum, vsum [72]int64
-	hr, vr := 0, 0
-	hrNext, vrNext := h/8, h/9
+	rows := newRowCells(h)
 	i := 0
 	for y := 0; y < h; y++ {
-		if y == hrNext {
-			hr++
-			hrNext = (hr + 1) * h / 8
-		}
-		if y == vrNext {
-			vr++
-			vrNext = (vr + 1) * h / 9
-		}
-		hbase, vbase := hr*9, vr*8
+		hbase, vbase := rows.next(y)
 		for k := 0; k < nseg; k++ {
 			sg := segs[k]
 			var sum int64
@@ -134,6 +146,12 @@ func dualGridPlain(pix []byte, w, h int) Hash {
 	}
 	return gridsFromSums(&hsum, &vsum, w, h)
 }
+
+// noisyKernel is the noisy dual-grid kernel DHashNoisy runs. It is the
+// portable dualGridMod5 unless the package's init found a faster kernel
+// for this CPU (the AVX2 one on amd64); every kernel is bit-identical
+// to dualGridMod5.
+var noisyKernel = dualGridMod5
 
 // dualGridMod5 is the noisy kernel with inline noise generation: the
 // constant-modulus (2*imaging.NoiseAmp+1 = 5) xorshift stream of
@@ -151,28 +169,11 @@ func dualGridMod5(pix []byte, w, h int, seed uint64) Hash {
 	var hsum, vsum [72]int64
 	jump := imaging.JumpFor(3 * w)
 	sRow := seed | 1 // stream state at the start of the current row
-	hr, vr := 0, 0
-	hrNext, vrNext := h/8, h/9
+	rows := newRowCells(h)
 	y := 0
 	for ; y+1 < h; y += 2 {
-		if y == hrNext {
-			hr++
-			hrNext = (hr + 1) * h / 8
-		}
-		if y == vrNext {
-			vr++
-			vrNext = (vr + 1) * h / 9
-		}
-		hbA, vbA := hr*9, vr*8
-		if y+1 == hrNext {
-			hr++
-			hrNext = (hr + 1) * h / 8
-		}
-		if y+1 == vrNext {
-			vr++
-			vrNext = (vr + 1) * h / 9
-		}
-		hbB, vbB := hr*9, vr*8
+		hbA, vbA := rows.next(y)
+		hbB, vbB := rows.next(y + 1)
 		sa := sRow
 		sb := jump.Apply(sa)
 		sRow = jump.Apply(sb)
@@ -218,42 +219,40 @@ func dualGridMod5(pix []byte, w, h int, seed uint64) Hash {
 			vsum[vbB+sg.vc] += sumB
 		}
 	}
-	// Odd-height tail: the last row runs the plain single-chain loop.
+	// Odd-height tail: the last row runs the single-chain loop.
 	for ; y < h; y++ {
-		if y == hrNext {
-			hr++
-			hrNext = (hr + 1) * h / 8
-		}
-		if y == vrNext {
-			vr++
-			vrNext = (vr + 1) * h / 9
-		}
-		hbase, vbase := hr*9, vr*8
-		s := sRow
-		i := y * w * 4
-		for k := 0; k < nseg; k++ {
-			sg := segs[k]
-			var sum int64
-			for x := sg.x0; x < sg.x1; x++ {
-				s ^= s << 13
-				s ^= s >> 7
-				s ^= s << 17
-				r := int(lut[uint64(pix[i])+s%5])
-				s ^= s << 13
-				s ^= s >> 7
-				s ^= s << 17
-				g := int(lut[uint64(pix[i+1])+s%5])
-				s ^= s << 13
-				s ^= s >> 7
-				s ^= s << 17
-				b := int(lut[uint64(pix[i+2])+s%5])
-				sum += int64((299*r + 587*g + 114*b) / 1000)
-				i += 4
-			}
-			hsum[hbase+sg.hc] += sum
-			vsum[vbase+sg.vc] += sum
-		}
-		sRow = s
+		hb, vb := rows.next(y)
+		sRow = mod5Row(pix[y*w*4:], segs[:nseg], sRow, &hsum, &vsum, hb, vb)
 	}
 	return gridsFromSums(&hsum, &vsum, w, h)
+}
+
+// mod5Row runs one raster row through the single-chain noisy loop: s is
+// the stream state at the row's start, row holds the row's pixels from
+// its first column on, and each segment's luminance sum lands in the
+// cells at bases hb and vb. It returns the state at the row's end,
+// which is the next row's start state.
+func mod5Row(row []byte, segs []colSeg, s uint64, hsum, vsum *[72]int64, hb, vb int) uint64 {
+	lut := imaging.ClampLUT5()
+	for _, sg := range segs {
+		var sum int64
+		for i := sg.x0 * 4; i < sg.x1*4; i += 4 {
+			s ^= s << 13
+			s ^= s >> 7
+			s ^= s << 17
+			r := int(lut[uint64(row[i])+s%5])
+			s ^= s << 13
+			s ^= s >> 7
+			s ^= s << 17
+			g := int(lut[uint64(row[i+1])+s%5])
+			s ^= s << 13
+			s ^= s >> 7
+			s ^= s << 17
+			b := int(lut[uint64(row[i+2])+s%5])
+			sum += int64((299*r + 587*g + 114*b) / 1000)
+		}
+		hsum[hb+sg.hc] += sum
+		vsum[vb+sg.vc] += sum
+	}
+	return s
 }

@@ -1,6 +1,7 @@
 package phash
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/imaging"
@@ -128,4 +129,68 @@ func FuzzDHashNoisyFused(f *testing.F) {
 			t.Fatalf("%dx%d noise=%v seed=%d: fused %v != naive %v", w, h, noise, seed, got, want)
 		}
 	})
+}
+
+// clampEdgeImage fills every channel with a value in 0..4 or 251..255,
+// where each noise delta straddles a clamp boundary.
+func clampEdgeImage(w, h int, seed uint64) *imaging.Image {
+	img := imaging.New(w, h)
+	s := seed | 1
+	for i := range img.Pix {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		v := byte(s % 10)
+		if v >= 5 {
+			v += 246
+		}
+		img.Pix[i] = v
+	}
+	return img
+}
+
+// TestNoisyKernelsMatchNaive holds the portable dualGridMod5 and the
+// kernel DHashNoisy dispatches to (the AVX2 kernel on amd64 CPUs that
+// have it) to the naive Noise + DHash pipeline. Heights take every
+// residue mod 4, since the AVX2 kernel hashes rows four at a time and
+// the rest singly; widths from 9 up give column segments from 1 pixel
+// wide; every other image sits at the clamp edges.
+func TestNoisyKernelsMatchNaive(t *testing.T) {
+	kernels := []struct {
+		name string
+		fn   func(pix []byte, w, h int, seed uint64) Hash
+	}{{"go", dualGridMod5}}
+	if reflect.ValueOf(noisyKernel).Pointer() != reflect.ValueOf(dualGridMod5).Pointer() {
+		kernels = append(kernels, struct {
+			name string
+			fn   func(pix []byte, w, h int, seed uint64) Hash
+		}{"dispatched", noisyKernel})
+	} else {
+		t.Log("DHashNoisy runs dualGridMod5 on this CPU; only the Go kernel is checked")
+	}
+	s := uint64(0x2545f4914f6cdd1d)
+	next := func(n int) int {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return int(s % uint64(n))
+	}
+	for trial := 0; trial < 96; trial++ {
+		w := 9 + next(24)
+		if trial%3 == 0 {
+			w = 9 + next(300)
+		}
+		h := 9 + trial%4 + 4*next(30)
+		seed := s * 0x9e3779b97f4a7c15
+		img := randomImage(w, h, seed)
+		if trial%2 == 1 {
+			img = clampEdgeImage(w, h, seed)
+		}
+		want := naiveHash(img, true, seed)
+		for _, k := range kernels {
+			if got := k.fn(img.Pix, w, h, seed); got != want {
+				t.Fatalf("trial %d, %s kernel, %dx%d seed=%d: %v != naive %v", trial, k.name, w, h, seed, got, want)
+			}
+		}
+	}
 }

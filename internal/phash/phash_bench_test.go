@@ -35,3 +35,17 @@ func BenchmarkDistance(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHashKernel_Fused256x192_Go runs the portable Go kernel,
+// whichever kernel DHashNoisy dispatches to, at the 256×192 size the
+// crawler and milker capture. Against the dispatched kernel's
+// BenchmarkHashKernel_Fused256x192 (repository root) it measures what
+// the AVX2 kernel buys.
+func BenchmarkHashKernel_Fused256x192_Go(b *testing.B) {
+	img := renderTemplate(1, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = dualGridMod5(img.Pix, img.W, img.H, uint64(i)|1)
+	}
+}

@@ -23,10 +23,9 @@ var nanpPattern = regexp.MustCompile(
 // Extract returns the distinct phone numbers found in text, normalised
 // to +1-NXX-NXX-XXXX form, in order of first appearance.
 func Extract(text string) []string {
-	matches := nanpPattern.FindAllStringSubmatch(text, -1)
 	seen := map[string]bool{}
 	var out []string
-	for _, m := range matches {
+	for _, m := range findNumbers(text) {
 		n := Normalize(m[1] + m[2] + m[3])
 		if n == "" || seen[n] {
 			continue
@@ -35,6 +34,44 @@ func Extract(text string) []string {
 		out = append(out, n)
 	}
 	return out
+}
+
+// findNumbers returns nanpPattern's submatches in text, exactly as
+// nanpPattern.FindAllStringSubmatch(text, -1) does, but runs the regexp
+// only on candidate runs. Every byte a match can hold is in
+// [0-9+\-. ()], and a match holds at least 10 digits, so each match lies
+// within one maximal run of those bytes that holds 10 or more digits.
+// The pattern has no anchors or assertions, so a run on its own matches
+// as it does in place. Serialized pages are mostly markup, so most of
+// the text never reaches the backtracking matcher.
+func findNumbers(text string) [][]string {
+	var out [][]string
+	for i := 0; i < len(text); {
+		if !numberByte(text[i]) {
+			i++
+			continue
+		}
+		j, digits := i, 0
+		for ; j < len(text) && numberByte(text[j]); j++ {
+			if text[j] >= '0' && text[j] <= '9' {
+				digits++
+			}
+		}
+		if digits >= 10 {
+			out = append(out, nanpPattern.FindAllStringSubmatch(text[i:j], -1)...)
+		}
+		i = j
+	}
+	return out
+}
+
+// numberByte reports whether nanpPattern can match byte c.
+func numberByte(c byte) bool {
+	switch c {
+	case '+', '-', '.', ' ', '(', ')':
+		return true
+	}
+	return c >= '0' && c <= '9'
 }
 
 // Normalize canonicalises a 10-digit NANP number; returns "" for

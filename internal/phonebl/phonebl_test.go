@@ -1,6 +1,8 @@
 package phonebl
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -128,4 +130,46 @@ func TestEntriesSorted(t *testing.T) {
 	if e[0].Number > e[1].Number {
 		t.Fatal("entries unsorted")
 	}
+}
+
+// checkFindNumbers holds the candidate-run scan to the whole-text
+// regexp it stands in for.
+func checkFindNumbers(t *testing.T, text string) {
+	t.Helper()
+	want := nanpPattern.FindAllStringSubmatch(text, -1)
+	if got := findNumbers(text); !reflect.DeepEqual(got, want) {
+		t.Fatalf("findNumbers(%q) = %q, whole-text regexp %q", text, got, want)
+	}
+}
+
+// TestFindNumbersMatchesWholeText draws texts from number bytes, letters
+// and markup, weighted so runs often sit near the 10-digit threshold
+// and numbers abut, nest in brackets or straddle letters.
+func TestFindNumbersMatchesWholeText(t *testing.T) {
+	pieces := []string{
+		"0", "1", "5", "8", "9", "+", "-", ".", " ", "(", ")", "+1", "800", "555", "0123",
+		"a", "x", "<p>", "</title>", "\t", "é", "CALL NOW ", "1 (844) 555-0199", "877.555.0100",
+	}
+	s := uint64(0x9e3779b97f4a7c15)
+	next := func(n int) int {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return int(s % uint64(n))
+	}
+	for trial := 0; trial < 5000; trial++ {
+		var b strings.Builder
+		for k := next(40); k > 0; k-- {
+			b.WriteString(pieces[next(len(pieces))])
+		}
+		checkFindNumbers(t, b.String())
+	}
+}
+
+func FuzzFindNumbers(f *testing.F) {
+	f.Add("CALL NOW +1-800-555-0123")
+	f.Add("two: +1-800-555-0001 and 1-888-555-0002")
+	f.Add("1 (844) 555-0199 877.555.0100x866-555-0142.")
+	f.Add("12345 67890 (((800)))...555---0123 9")
+	f.Fuzz(checkFindNumbers)
 }
