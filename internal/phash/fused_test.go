@@ -156,15 +156,9 @@ func clampEdgeImage(w, h int, seed uint64) *imaging.Image {
 // the rest singly; widths from 9 up give column segments from 1 pixel
 // wide; every other image sits at the clamp edges.
 func TestNoisyKernelsMatchNaive(t *testing.T) {
-	kernels := []struct {
-		name string
-		fn   func(pix []byte, w, h int, seed uint64) Hash
-	}{{"go", dualGridMod5}}
+	kernels := map[string]func(pix []byte, w, h int, seed uint64) Hash{"go": dualGridMod5}
 	if reflect.ValueOf(noisyKernel).Pointer() != reflect.ValueOf(dualGridMod5).Pointer() {
-		kernels = append(kernels, struct {
-			name string
-			fn   func(pix []byte, w, h int, seed uint64) Hash
-		}{"dispatched", noisyKernel})
+		kernels["dispatched"] = noisyKernel
 	} else {
 		t.Log("DHashNoisy runs dualGridMod5 on this CPU; only the Go kernel is checked")
 	}
@@ -187,9 +181,9 @@ func TestNoisyKernelsMatchNaive(t *testing.T) {
 			img = clampEdgeImage(w, h, seed)
 		}
 		want := naiveHash(img, true, seed)
-		for _, k := range kernels {
-			if got := k.fn(img.Pix, w, h, seed); got != want {
-				t.Fatalf("trial %d, %s kernel, %dx%d seed=%d: %v != naive %v", trial, k.name, w, h, seed, got, want)
+		for name, kernel := range kernels {
+			if got := kernel(img.Pix, w, h, seed); got != want {
+				t.Fatalf("trial %d, %s kernel, %dx%d seed=%d: %v != naive %v", trial, name, w, h, seed, got, want)
 			}
 		}
 	}
