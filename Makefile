@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet cross test test-race serve-smoke check loc bench bench-obs bench-baseline bench-check profile-milk profile-serve
+.PHONY: all build vet cross test test-race serve-smoke check fuzz loc bench bench-obs bench-baseline bench-check profile-milk profile-serve
 
 all: check
 
@@ -57,6 +57,20 @@ serve-smoke:
 	$(GO) test -run 'TestServeSmoke' -v ./cmd/seacma-serve/
 
 check: build vet cross test test-race
+
+# Run every Fuzz* target in the tree (the separate seacmabench module
+# aside) for FUZZTIME each, on two fuzzing workers. go test -fuzz takes
+# one target in one package per run, hence the loop. An input that
+# fails is written under the package's testdata/fuzz/, where plain
+# `go test` replays it from then on.
+FUZZTIME ?= 5s
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=seacmabench '^func Fuzz' . | sort); do \
+	  for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+	    echo "== $$t ($$(dirname $$f))"; \
+	    $(GO) test -run XXX -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) -parallel 2 $$(dirname $$f)/; \
+	  done; \
+	done
 
 # Non-test Go line count (the ROADMAP's size measure): tracked .go
 # files minus *_test.go and the separate seacmabench module.

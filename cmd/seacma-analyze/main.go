@@ -14,10 +14,9 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/profiling"
 	"repro/internal/sessionio"
 )
 
@@ -31,59 +30,51 @@ func main() {
 // analyzeConfig is the assembled run configuration; split from flag
 // parsing so tests can cover the -flag → config mapping.
 type analyzeConfig struct {
-	inFile     string
-	params     core.DiscoveryParams
-	metrics    string
-	cpuProfile string
-	memProfile string
+	cli.Output
+	inFile string
+	params core.DiscoveryParams
 }
 
-// parseFlags maps the command line onto an analyzeConfig.
+// parseFlags maps the command line onto an analyzeConfig. The
+// clustering flags are checked here, before -in is read, so a bad value
+// fails at once instead of after the whole session file has loaded.
 func parseFlags(args []string) (*analyzeConfig, error) {
 	fs := flag.NewFlagSet("seacma-analyze", flag.ContinueOnError)
-	var (
-		inFile  = fs.String("in", "", "session file written by seacma-crawl -out (required)")
-		eps     = fs.Float64("eps", 0.1, "DBSCAN eps over normalised dhash distance")
-		minPts  = fs.Int("minpts", 3, "DBSCAN MinPts")
-		minDoms = fs.Int("theta-c", 5, "minimum distinct e2LDs per campaign (θc)")
-		metrics = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = fs.String("memprofile", "", "write an allocation profile to this file")
-	)
+	ac := &analyzeConfig{}
+	ac.Bind(fs)
+	fs.StringVar(&ac.inFile, "in", "", "session file written by seacma-crawl -out (required)")
+	fs.Float64Var(&ac.params.Cluster.Eps, "eps", 0.1, "DBSCAN eps over normalised dhash distance")
+	fs.IntVar(&ac.params.Cluster.MinPts, "minpts", 3, "DBSCAN MinPts")
+	fs.IntVar(&ac.params.MinDomains, "theta-c", 5, "minimum distinct e2LDs per campaign (θc)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if *inFile == "" {
+	if ac.inFile == "" {
 		fs.Usage()
 		return nil, fmt.Errorf("seacma-analyze: -in is required")
 	}
-	return &analyzeConfig{
-		inFile: *inFile,
-		params: core.DiscoveryParams{
-			Cluster:    cluster.Params{Eps: *eps, MinPts: *minPts},
-			MinDomains: *minDoms,
-		},
-		metrics:    *metrics,
-		cpuProfile: *cpuProf,
-		memProfile: *memProf,
-	}, nil
+	if err := ac.params.Cluster.Validate(); err != nil {
+		bad := "-minpts"
+		if (cluster.Params{Eps: ac.params.Cluster.Eps, MinPts: 1}).Validate() != nil {
+			bad = "-eps"
+		}
+		return nil, fmt.Errorf("%s: %w", bad, err)
+	}
+	if ac.params.MinDomains < 0 {
+		return nil, fmt.Errorf("-theta-c must be >= 0 (got %d)", ac.params.MinDomains)
+	}
+	return ac, nil
 }
 
-func run(args []string, stdout, stderr io.Writer) (retErr error) {
+func run(args []string, stdout, stderr io.Writer) error {
 	ac, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	stopProf, err := profiling.Start(ac.cpuProfile, ac.memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil && retErr == nil {
-			retErr = perr
-		}
-	}()
+	return ac.Profile(func() error { return analyze(ac, stdout, stderr) })
+}
 
+func analyze(ac *analyzeConfig, stdout, stderr io.Writer) error {
 	f, err := os.Open(ac.inFile)
 	if err != nil {
 		return err
@@ -99,20 +90,13 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 	fmt.Fprintf(stderr, "loaded %d sessions with %d landings\n", len(sessions), landings)
 
-	var reg *obs.Registry
-	if ac.metrics != "" {
-		reg = obs.New()
-		ac.params.Obs = reg
-	}
+	ac.params.Obs = ac.Registry()
 	disc, err := core.Discover(sessions, ac.params)
 	if err != nil {
 		return err
 	}
-	if err := reg.WriteFile(ac.metrics); err != nil {
+	if err := ac.WriteMetrics(ac.params.Obs, stderr); err != nil {
 		return err
-	}
-	if ac.metrics != "" {
-		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", ac.metrics)
 	}
 
 	fmt.Fprintf(stdout, "clusters: %d (noise %d, below-θc %d)\n", len(disc.Clusters), disc.NoiseCount, disc.FilteredClusters)

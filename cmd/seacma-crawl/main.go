@@ -3,7 +3,7 @@
 // crawl it, cluster the landing-page screenshots and triage the clusters
 // into SE campaigns.
 //
-//	seacma-crawl [-seed N] [-publishers N] [-scale F] [-max N] [-tiny] [-json] [-metrics out.json]
+//	seacma-crawl [-seed N] [-publishers N] [-scale F] [-max N] [-tiny] [-workers N] [-json] [-out sessions.jsonl] [-metrics out.json]
 package main
 
 import (
@@ -17,10 +17,9 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/crawler"
-	"repro/internal/obs"
-	"repro/internal/profiling"
 	"repro/internal/sessionio"
 	"repro/internal/worldgen"
 )
@@ -35,35 +34,26 @@ func main() {
 // crawlConfig is the assembled run configuration; split from flag
 // parsing so tests can cover the -flag → config mapping.
 type crawlConfig struct {
-	exp        seacma.ExperimentConfig
-	asJSON     bool
-	outFile    string
-	metrics    string
-	cpuProfile string
-	memProfile string
+	cli.Flags
+	exp     seacma.ExperimentConfig
+	asJSON  bool
+	outFile string
 }
 
 // parseFlags maps the command line onto a crawlConfig.
 func parseFlags(args []string) (*crawlConfig, error) {
 	fs := flag.NewFlagSet("seacma-crawl", flag.ContinueOnError)
+	cc := &crawlConfig{}
+	cc.Bind(fs)
+	cc.BindMax(fs)
 	var (
-		seed       = fs.Int64("seed", 1, "world seed")
 		publishers = fs.Int("publishers", 0, "seed publishers (0 = config default)")
 		scale      = fs.Float64("scale", 1.0, "scale factor applied to the default world")
-		maxPubs    = fs.Int("max", 0, "bound the crawl pool (0 = all)")
-		tiny       = fs.Bool("tiny", false, "use the tiny smoke-test world")
-		asJSON     = fs.Bool("json", false, "emit the campaign list as JSON")
-		outFile    = fs.String("out", "", "write the crawl sessions to this file (JSONL) for offline analysis with seacma-analyze")
-		metrics    = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
-		workers    = fs.Int("workers", 0, "worker count for the crawl farm (0 = per-stage default; output is identical for any value)")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write an allocation profile to this file")
 	)
+	fs.BoolVar(&cc.asJSON, "json", false, "emit the campaign list as JSON")
+	fs.StringVar(&cc.outFile, "out", "", "write the crawl sessions to this file (JSONL) for offline analysis with seacma-analyze")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if *maxPubs < 0 {
-		return nil, fmt.Errorf("-max must be >= 0 (0 = all), got %d", *maxPubs)
 	}
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
 		return nil, fmt.Errorf("-scale must be a positive finite factor, got %v", *scale)
@@ -72,45 +62,29 @@ func parseFlags(args []string) (*crawlConfig, error) {
 		return nil, fmt.Errorf("-publishers must be >= 0 (0 = config default), got %d", *publishers)
 	}
 
-	cfg := seacma.DefaultExperimentConfig()
-	if *tiny {
-		cfg = seacma.QuickExperimentConfig()
+	cc.Spec.SkipMilking = true
+	cfg, err := cc.Config()
+	if err != nil {
+		return nil, err
 	}
-	cfg.SkipMilking = true
-	if *workers > 0 {
-		cfg.SetWorkers(*workers)
-	}
-	cfg.World.Seed = *seed
 	cfg.World = scaleWorld(cfg.World, *scale)
 	if *publishers > 0 {
 		cfg.World.SeedPublishers = *publishers
 		cfg.World.NewNetPublishers = *publishers / 10
 	}
-	cfg.MaxPublishers = *maxPubs
-	if *metrics != "" {
-		cfg.Obs = obs.New()
-	}
-	return &crawlConfig{
-		exp: cfg, asJSON: *asJSON, outFile: *outFile, metrics: *metrics,
-		cpuProfile: *cpuProfile, memProfile: *memProfile,
-	}, nil
+	cc.exp = cfg
+	return cc, nil
 }
 
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr error) {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cc, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	stopProf, err := profiling.Start(cc.cpuProfile, cc.memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil && retErr == nil {
-			retErr = perr
-		}
-	}()
+	return cc.Profile(func() error { return crawl(ctx, cc, stdout, stderr) })
+}
 
+func crawl(ctx context.Context, cc *crawlConfig, stdout, stderr io.Writer) error {
 	exp := seacma.NewExperiment(cc.exp)
 	fmt.Fprintf(stderr, "world: %d publishers, %d campaigns; crawling...\n",
 		len(exp.World.Publishers), len(exp.World.Campaigns))
@@ -120,10 +94,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	opts := core.StreamOptions{SkipMilking: true}
 	var out *sessionSink
 	if cc.outFile != "" {
-		if out, err = createSink(cc.outFile); err != nil {
+		sink, err := createSink(cc.outFile)
+		if err != nil {
 			return err
 		}
-		opts.OnSession = out.session
+		out, opts.OnSession = sink, sink.session
 	}
 	res, err := exp.Pipeline.RunStream(ctx, opts)
 	if out != nil {
@@ -140,11 +115,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return err
 	}
 
-	if err := cc.exp.Obs.WriteFile(cc.metrics); err != nil {
+	if err := cc.WriteMetrics(cc.exp.Obs, stderr); err != nil {
 		return err
-	}
-	if cc.metrics != "" {
-		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", cc.metrics)
 	}
 
 	if cc.asJSON {

@@ -30,7 +30,7 @@ func TestParseFlags(t *testing.T) {
 	if !cc.asJSON {
 		t.Fatal("json flag not mapped")
 	}
-	if cc.metrics != "m.json" || cc.exp.Obs == nil {
+	if cc.Metrics != "m.json" || cc.exp.Obs == nil {
 		t.Fatal("metrics flag must allocate a registry")
 	}
 	// Without -metrics the run stays uninstrumented.
@@ -56,12 +56,27 @@ func TestParseFlags(t *testing.T) {
 		{"-scale", "NaN"},
 		{"-scale", "+Inf"},
 		{"-publishers", "-3"},
+		{"-seed", "-1"},
+		{"-workers", "-1"},
+		{"-workers", "65"},
 	} {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("%v accepted", bad)
 		} else if !strings.Contains(err.Error(), bad[0]) {
 			t.Errorf("%v: error %q does not name the flag", bad, err)
 		}
+	}
+}
+
+// -seed 0 builds world seed 1, as a seacma-serve job spec with seed 0
+// does.
+func TestSeedZeroIsSeedOne(t *testing.T) {
+	cc, err := parseFlags([]string{"-seed", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cc.exp.World.Seed != 1 {
+		t.Fatalf("-seed 0: world seed %d, want 1", cc.exp.World.Seed)
 	}
 }
 

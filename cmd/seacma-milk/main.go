@@ -14,8 +14,7 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/obs"
-	"repro/internal/profiling"
+	"repro/internal/cli"
 )
 
 func main() {
@@ -28,34 +27,27 @@ func main() {
 // milkConfig is the assembled run configuration; split from flag
 // parsing so tests can cover the -flag → config mapping.
 type milkConfig struct {
-	exp        seacma.ExperimentConfig
-	days       int
-	metrics    string
-	cpuProfile string
-	memProfile string
+	cli.Flags
+	exp seacma.ExperimentConfig
 }
 
 // parseFlags maps the command line onto a milkConfig.
 func parseFlags(args []string) (*milkConfig, error) {
 	fs := flag.NewFlagSet("seacma-milk", flag.ContinueOnError)
+	mc := &milkConfig{}
+	mc.Bind(fs)
+	mc.BindDays(fs)
 	var (
-		seed     = fs.Int64("seed", 1, "world seed")
-		days     = fs.Int("days", 14, "milking horizon in virtual days (paper: 14)")
 		sources  = fs.Int("sources", 300, "max milking sources (0 = unbounded; paper: 505)")
 		interval = fs.Int("interval", 15, "milking interval in virtual minutes (paper: 15)")
-		tiny     = fs.Bool("tiny", false, "use the tiny smoke-test world")
-		metrics  = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
-		workers  = fs.Int("workers", 0, "worker count for the parallel stages (0 = per-stage defaults; output is identical for any value)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write an allocation profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	// Zero would silently fall back to the milker's defaults while the
-	// summary line reports the flag's value, so both must be positive.
-	if *days < 1 {
-		return nil, fmt.Errorf("-days must be >= 1 (got %d)", *days)
+	// A zero -days would fall back to the config default while the
+	// summary line reports the flag's value, so it must be positive.
+	if mc.Spec.Days < 1 {
+		return nil, fmt.Errorf("-days must be >= 1 (got %d)", mc.Spec.Days)
 	}
 	if *interval < 1 {
 		return nil, fmt.Errorf("-interval must be >= 1 (got %d)", *interval)
@@ -64,41 +56,25 @@ func parseFlags(args []string) (*milkConfig, error) {
 		return nil, fmt.Errorf("-sources must be >= 0 (got %d)", *sources)
 	}
 
-	cfg := seacma.DefaultExperimentConfig()
-	if *tiny {
-		cfg = seacma.QuickExperimentConfig()
+	cfg, err := mc.Config()
+	if err != nil {
+		return nil, err
 	}
-	cfg.World.Seed = *seed
-	cfg.Milker.Duration = time.Duration(*days) * 24 * time.Hour
 	cfg.Milker.MilkInterval = time.Duration(*interval) * time.Minute
-	cfg.Milker.MaxSources = *sources
-	if *workers > 0 {
-		cfg.SetWorkers(*workers)
-	}
-	if *metrics != "" {
-		cfg.Obs = obs.New()
-	}
-	return &milkConfig{
-		exp: cfg, days: *days, metrics: *metrics,
-		cpuProfile: *cpuProf, memProfile: *memProf,
-	}, nil
+	cfg.Milker.MaxSources = *sources // 0 = unbounded here, not the spec's 300
+	mc.exp = cfg
+	return mc, nil
 }
 
-func run(args []string, stdout, stderr io.Writer) (retErr error) {
+func run(args []string, stdout, stderr io.Writer) error {
 	mc, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	stopProf, err := profiling.Start(mc.cpuProfile, mc.memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil && retErr == nil {
-			retErr = perr
-		}
-	}()
+	return mc.Profile(func() error { return milk(mc, stdout, stderr) })
+}
 
+func milk(mc *milkConfig, stdout, stderr io.Writer) error {
 	exp := seacma.NewExperiment(mc.exp)
 	fmt.Fprintf(stderr, "world: %d publishers, %d campaigns; running full pipeline...\n",
 		len(exp.World.Publishers), len(exp.World.Campaigns))
@@ -109,15 +85,12 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 	m := res.Milking
 
-	if err := mc.exp.Obs.WriteFile(mc.metrics); err != nil {
+	if err := mc.WriteMetrics(mc.exp.Obs, stderr); err != nil {
 		return err
-	}
-	if mc.metrics != "" {
-		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", mc.metrics)
 	}
 
 	fmt.Fprintf(stdout, "milking: %d sources x %d virtual days -> %d sessions (wall %v)\n",
-		m.Sources, mc.days, m.Sessions, time.Since(start).Round(time.Second))
+		m.Sources, mc.Spec.Days, m.Sessions, time.Since(start).Round(time.Second))
 	fmt.Fprintf(stdout, "fresh attack domains harvested: %d\n", len(m.Domains))
 	fmt.Fprintf(stdout, "binaries collected: %d (previously known to the scan service: %d)\n",
 		len(m.Files), countKnown(m))

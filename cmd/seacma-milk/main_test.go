@@ -40,13 +40,17 @@ func TestParseFlags(t *testing.T) {
 	if mc2.exp.Obs != nil {
 		t.Fatal("registry allocated without -metrics")
 	}
-	if mc2.days != 14 {
-		t.Fatalf("default days = %d", mc2.days)
+	if mc2.Spec.Days != 14 {
+		t.Fatalf("default days = %d", mc2.Spec.Days)
 	}
 	for _, args := range [][]string{
 		{"-days", "-1"}, {"-days", "0"},
 		{"-interval", "-5"}, {"-interval", "0"},
 		{"-sources", "-3"},
+		{"-days", "61"},
+		{"-seed", "-1"},
+		{"-workers", "-1"},
+		{"-workers", "65"},
 	} {
 		if _, err := parseFlags(args); err == nil || !strings.Contains(err.Error(), args[0]) {
 			t.Errorf("%v: err = %v, want a rejection naming %s", args, err, args[0])

@@ -16,8 +16,7 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/obs"
-	"repro/internal/profiling"
+	"repro/internal/cli"
 )
 
 func main() {
@@ -30,73 +29,47 @@ func main() {
 // reportConfig is the assembled run configuration; split from flag
 // parsing so tests can cover the -flag → config mapping.
 type reportConfig struct {
-	exp        seacma.ExperimentConfig
-	table      int
-	jsonFile   string
-	metrics    string
-	seed       int64
-	cpuProfile string
-	memProfile string
+	cli.Flags
+	exp      seacma.ExperimentConfig
+	table    int
+	jsonFile string
 }
 
 // parseFlags maps the command line onto a reportConfig.
 func parseFlags(args []string) (*reportConfig, error) {
 	fs := flag.NewFlagSet("seacma-report", flag.ContinueOnError)
-	var (
-		seed     = fs.Int64("seed", 1, "world seed")
-		table    = fs.Int("table", 0, "print only this table (1-4); 0 = everything")
-		tiny     = fs.Bool("tiny", false, "use the tiny smoke-test world")
-		jsonFile = fs.String("json", "", "also write the full machine-readable report to this file")
-		metrics  = fs.String("metrics", "", "write an observability snapshot (JSON) to this file")
-		workers  = fs.Int("workers", 0, "worker count for the parallel stages (0 = per-stage defaults; output is identical for any value)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write an allocation profile to this file")
-	)
+	rc := &reportConfig{}
+	rc.Bind(fs)
+	fs.IntVar(&rc.table, "table", 0, "print only this table (1-4); 0 = everything")
+	fs.StringVar(&rc.jsonFile, "json", "", "also write the full machine-readable report to this file")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if *table < 0 || *table > 4 {
-		return nil, fmt.Errorf("-table must be in [0,4] (got %d)", *table)
+	if rc.table < 0 || rc.table > 4 {
+		return nil, fmt.Errorf("-table must be in [0,4] (got %d)", rc.table)
 	}
 
-	cfg := seacma.DefaultExperimentConfig()
-	if *tiny {
-		cfg = seacma.QuickExperimentConfig()
+	// Tables 1-3 need no milking.
+	rc.Spec.SkipMilking = rc.table >= 1 && rc.table <= 3
+	cfg, err := rc.Config()
+	if err != nil {
+		return nil, err
 	}
-	cfg.World.Seed = *seed
-	cfg.Milker.MaxSources = 300
-	if *workers > 0 {
-		cfg.SetWorkers(*workers)
-	}
-	if *table >= 1 && *table <= 3 {
-		cfg.SkipMilking = true
-	}
-	if *metrics != "" {
-		cfg.Obs = obs.New()
-	}
-	return &reportConfig{
-		exp: cfg, table: *table, jsonFile: *jsonFile, metrics: *metrics, seed: *seed,
-		cpuProfile: *cpuProf, memProfile: *memProf,
-	}, nil
+	rc.exp = cfg
+	return rc, nil
 }
 
-func run(args []string, stdout, stderr io.Writer) (retErr error) {
+func run(args []string, stdout, stderr io.Writer) error {
 	rc, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	stopProf, err := profiling.Start(rc.cpuProfile, rc.memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil && retErr == nil {
-			retErr = perr
-		}
-	}()
+	return rc.Profile(func() error { return report(rc, stdout, stderr) })
+}
 
+func report(rc *reportConfig, stdout, stderr io.Writer) error {
 	exp := seacma.NewExperiment(rc.exp)
-	fmt.Fprintf(stderr, "running pipeline on seed %d...\n", rc.seed)
+	fmt.Fprintf(stderr, "running pipeline on seed %d...\n", rc.exp.World.Seed)
 	start := time.Now()
 	res, err := exp.Run()
 	if err != nil {
@@ -121,11 +94,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		fmt.Fprintf(stderr, "wrote machine-readable report to %s\n", rc.jsonFile)
 	}
 
-	if err := rc.exp.Obs.WriteFile(rc.metrics); err != nil {
+	if err := rc.WriteMetrics(rc.exp.Obs, stderr); err != nil {
 		return err
-	}
-	if rc.metrics != "" {
-		fmt.Fprintf(stderr, "wrote metrics snapshot to %s\n", rc.metrics)
 	}
 
 	show := func(n int) bool { return rc.table == 0 || rc.table == n }

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -24,8 +29,8 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.seed != 9 || rc.exp.World.Seed != 9 {
-		t.Fatalf("seed = %d/%d", rc.seed, rc.exp.World.Seed)
+	if rc.Spec.Seed != 9 || rc.exp.World.Seed != 9 {
+		t.Fatalf("seed = %d/%d", rc.Spec.Seed, rc.exp.World.Seed)
 	}
 	if rc.jsonFile != "rep.json" {
 		t.Fatalf("jsonFile = %q", rc.jsonFile)
@@ -39,6 +44,11 @@ func TestParseFlags(t *testing.T) {
 	for _, table := range []string{"-1", "5", "9"} {
 		if _, err := parseFlags([]string{"-tiny", "-table", table}); err == nil || !strings.Contains(err.Error(), "-table") {
 			t.Errorf("table %s: err = %v, want a rejection", table, err)
+		}
+	}
+	for _, bad := range [][]string{{"-seed", "-1"}, {"-workers", "-1"}, {"-workers", "65"}} {
+		if _, err := parseFlags(bad); err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("%v: err = %v, want a rejection naming %s", bad, err, bad[0])
 		}
 	}
 }
@@ -58,5 +68,40 @@ func TestRunTinyTable1(t *testing.T) {
 	}
 	if strings.Contains(out, "Table 4") {
 		t.Fatalf("table filter leaked Table 4:\n%s", out)
+	}
+}
+
+// The CLI and the seacma-serve daemon map one spec onto one experiment:
+// `seacma-report -tiny -seed S -json F` writes exactly the report of
+// seacma.Spec{Tiny: true, Seed: S}.Config(), which is what a job with
+// that spec serves. Seed 0 is in the table because it is the value the
+// two once mapped to different worlds.
+func TestJSONMatchesSpecConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny pipeline runs")
+	}
+	for _, seed := range []int64{0, 2} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "report.json")
+			var stdout, stderr bytes.Buffer
+			if err := run([]string{"-tiny", "-seed", fmt.Sprint(seed), "-json", out}, &stdout, &stderr); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := seacma.NewExperiment(seacma.Spec{Tiny: true, Seed: seed}.Config()).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := res.Report().WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("-json report (%d bytes) differs from the spec's report (%d bytes)", len(got), want.Len())
+			}
+		})
 	}
 }

@@ -73,6 +73,19 @@ func parseFlags(args []string) (*serveConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	// The store and the drain would otherwise replace these values
+	// silently (2 workers, a 16-job queue) or act on them at once (a
+	// drain that cancels every in-flight job).
+	switch {
+	case *jobs < 1:
+		return nil, fmt.Errorf("-jobs must be >= 1 (got %d)", *jobs)
+	case *queue < 1:
+		return nil, fmt.Errorf("-queue must be >= 1 (got %d)", *queue)
+	case *drain <= 0:
+		return nil, fmt.Errorf("-drain-timeout must be > 0 (got %v)", *drain)
+	case *oracle < 0:
+		return nil, fmt.Errorf("-oracle-every must be >= 0 (0 = never; got %d)", *oracle)
+	}
 	return &serveConfig{
 		addr: *addr, jobs: *jobs, queueCap: *queue,
 		metrics: *metrics, addrFile: *addrFile, drainTimeout: *drain,

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,27 @@ func TestParseFlags(t *testing.T) {
 	}
 	if sc.jobs != 2 || sc.queueCap != 16 || sc.drainTimeout != time.Minute {
 		t.Fatalf("defaults = %d/%d/%v", sc.jobs, sc.queueCap, sc.drainTimeout)
+	}
+	// Nonsense values fail at parse time with a message naming the flag
+	// instead of being replaced or acted on. Only parsing runs here; no
+	// daemon starts.
+	for _, bad := range [][]string{
+		{"-jobs", "0"},
+		{"-jobs", "-1"},
+		{"-queue", "0"},
+		{"-queue", "-4"},
+		{"-drain-timeout", "0s"},
+		{"-drain-timeout", "-1s"},
+		{"-oracle-every", "-1"},
+	} {
+		if _, err := parseFlags(bad); err == nil {
+			t.Errorf("%v accepted", bad)
+		} else if !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("%v: error %q does not name the flag", bad, err)
+		}
+	}
+	if sc, err := parseFlags([]string{"-oracle-every", "0"}); err != nil || sc.oracleEvery != 0 {
+		t.Fatalf("-oracle-every 0 (never): %v", err)
 	}
 }
 

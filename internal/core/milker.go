@@ -204,9 +204,9 @@ func (c *MilkerConfig) fillDefaults() {
 	}
 }
 
-// validate reports a configuration the tracking loop cannot run: after
+// Validate reports a configuration the tracking loop cannot run: after
 // defaults, both periods must be positive and no horizon negative.
-func (c MilkerConfig) validate() error {
+func (c MilkerConfig) Validate() error {
 	c.fillDefaults()
 	switch {
 	case c.MilkInterval <= 0:
@@ -732,7 +732,7 @@ func (m *Milker) Run(sources []MilkSource) (*MilkingResult, error) {
 // behaviour (and the result bytes) are identical to Run — the ctx
 // checks sit outside the probe/commit work and cannot reorder it.
 func (m *Milker) RunContext(ctx context.Context, sources []MilkSource) (*MilkingResult, error) {
-	if err := m.cfg.validate(); err != nil {
+	if err := m.cfg.Validate(); err != nil {
 		return nil, Errorf("milker: %v", err)
 	}
 	if m.cfg.MaxSources > 0 && len(sources) > m.cfg.MaxSources {

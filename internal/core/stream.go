@@ -81,7 +81,7 @@ func (p *Pipeline) RunStream(ctx context.Context, opts StreamOptions) (*RunResul
 	// Likewise a milking schedule the tracking loop cannot run fails
 	// here, not after the whole crawl.
 	if !opts.SkipMilking {
-		if err := p.Cfg.Milker.validate(); err != nil {
+		if err := p.Cfg.Milker.Validate(); err != nil {
 			return nil, Errorf("milker: %v", err)
 		}
 	}

@@ -128,7 +128,7 @@ func TestMilkerRejectsUnrunnableSchedule(t *testing.T) {
 		m.Close()
 	}
 	// Zero values take the paper's defaults, so they are valid.
-	if err := (MilkerConfig{}).validate(); err != nil {
+	if err := (MilkerConfig{}).Validate(); err != nil {
 		t.Errorf("zero config: %v", err)
 	}
 }

@@ -59,9 +59,6 @@ type Config struct {
 	ViewportScale int
 	// BlockFilter simulates an ad-blocker extension.
 	BlockFilter func(u urlx.URL) bool
-	// InteractWithLandings clicks once inside each landing page (file
-	// download collection). Default on.
-	DisableLandingInteraction bool
 	// Obs receives farm metrics (sessions per worker, clicks, ads
 	// triggered, cloaking denials, screenshot hashes). Nil = no-op.
 	Obs *obs.Registry
@@ -414,9 +411,7 @@ func (c *Crawler) recordLanding(client *devtools.Client, tab *browser.Tab, ua we
 		l.Hashed = true
 		c.met.hashes.Inc()
 	}
-	if !c.cfg.DisableLandingInteraction {
-		c.interact(client, tab)
-	}
+	c.interact(client, tab)
 	l.Downloads = tab.Downloads
 	l.Blocked = tab.Blocked()
 	l.Behaviour = behaviourFromEvents(client.Events(), tab)

@@ -1,66 +1,17 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
+	"repro"
 	"repro/internal/core"
 )
 
-// JobSpec is the request body of POST /v1/jobs: everything that
-// identifies one pipeline run. The zero value is a valid spec (default
-// world, seed 1); the spec is echoed back in job views so a client can
-// always reconstruct what a job computed.
-type JobSpec struct {
-	// Seed is the world seed (default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Tiny selects the smoke-scale world (seconds per job) instead of
-	// the 1/8-scale default.
-	Tiny bool `json:"tiny,omitempty"`
-	// Workers parallelizes the crawl, milking and discovery stages
-	// (their output is byte-identical for any value; 0 = per-stage
-	// defaults).
-	Workers int `json:"workers,omitempty"`
-	// Days overrides the milking horizon in virtual days (0 = config
-	// default: 14 full-scale, 2 tiny).
-	Days int `json:"days,omitempty"`
-	// MaxSources bounds the milking sources (default 300, matching the
-	// one-shot seacma-report CLI).
-	MaxSources int `json:"max_sources,omitempty"`
-	// SkipMilking stops after discovery and attribution.
-	SkipMilking bool `json:"skip_milking,omitempty"`
-	// MaxPublishers bounds the crawl pool (0 = all).
-	MaxPublishers int `json:"max_publishers,omitempty"`
-	// Networks restricts the analyst seed list to the named ad networks
-	// (empty = all seed networks). Unknown names fail the job.
-	Networks []string `json:"networks,omitempty"`
-}
-
-// Validate rejects specs whose values are out of range before a job is
-// created, so bad submissions fail with 400 instead of a failed job.
-func (s JobSpec) Validate() error {
-	if s.Seed < 0 {
-		return fmt.Errorf("seed must be >= 0 (got %d)", s.Seed)
-	}
-	if s.Workers < 0 || s.Workers > 64 {
-		return fmt.Errorf("workers must be in [0,64] (got %d)", s.Workers)
-	}
-	if s.Days < 0 || s.Days > 60 {
-		return fmt.Errorf("days must be in [0,60] (got %d)", s.Days)
-	}
-	if s.MaxSources < 0 {
-		return fmt.Errorf("max_sources must be >= 0 (got %d)", s.MaxSources)
-	}
-	if s.MaxPublishers < 0 {
-		return fmt.Errorf("max_publishers must be >= 0 (got %d)", s.MaxPublishers)
-	}
-	for _, n := range s.Networks {
-		if n == "" {
-			return fmt.Errorf("networks must not contain empty names")
-		}
-	}
-	return nil
-}
+// JobSpec is the request body of POST /v1/jobs: the experiment spec
+// the CLIs bind their flags onto, validated by seacma.Spec.Validate. It
+// is echoed back in job views so a client can always reconstruct what a
+// job computed.
+type JobSpec = seacma.Spec
 
 // JobState is the lifecycle state of a job.
 type JobState string

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro"
 	"repro/internal/adscript"
@@ -139,40 +138,15 @@ func LiveCampaignSummaries(world string, st *campstore.Store) []CampaignSummary 
 }
 
 // SpecExperimentConfig maps a job spec onto the experiment
-// configuration, mirroring the seacma-report CLI flag mapping so a
-// job's report is byte-identical to `seacma-report -seed N [-tiny]
-// -json` at any -workers value. Workers sets the width of every
-// parallel stage; each stage's output is independent of it.
-func SpecExperimentConfig(spec JobSpec) seacma.ExperimentConfig {
-	cfg := seacma.DefaultExperimentConfig()
-	if spec.Tiny {
-		cfg = seacma.QuickExperimentConfig()
-	}
-	cfg.World.Seed = spec.Seed
-	if cfg.World.Seed <= 0 {
-		cfg.World.Seed = 1
-	}
-	cfg.Milker.MaxSources = 300
-	if spec.MaxSources > 0 {
-		cfg.Milker.MaxSources = spec.MaxSources
-	}
-	if spec.Days > 0 {
-		cfg.Milker.Duration = time.Duration(spec.Days) * 24 * time.Hour
-	}
-	cfg.SkipMilking = spec.SkipMilking
-	cfg.MaxPublishers = spec.MaxPublishers
-	if spec.Workers > 0 {
-		cfg.SetWorkers(spec.Workers)
-	}
-	return cfg
-}
+// configuration; it is spec.Config().
+func SpecExperimentConfig(spec JobSpec) seacma.ExperimentConfig { return spec.Config() }
 
 // Run executes one job against the shared pipeline context. It is the
 // store's production Runner. Jobs run through the streaming pipeline,
 // so onEvent carries per-session crawl progress alongside the phase
 // transitions.
 func (o *PipelineOwner) Run(ctx context.Context, spec JobSpec, onEvent func(JobEvent)) (*JobResult, error) {
-	cfg := SpecExperimentConfig(spec)
+	cfg := spec.Config()
 	cfg.Obs = o.Obs
 	cfg.Capture = o.Capture
 	cfg.Scripts = o.Scripts
