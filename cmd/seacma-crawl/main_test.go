@@ -68,18 +68,6 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-// -seed 0 builds world seed 1, as a seacma-serve job spec with seed 0
-// does.
-func TestSeedZeroIsSeedOne(t *testing.T) {
-	cc, err := parseFlags([]string{"-seed", "0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc.exp.World.Seed != 1 {
-		t.Fatalf("-seed 0: world seed %d, want 1", cc.exp.World.Seed)
-	}
-}
-
 func TestPublisherOverride(t *testing.T) {
 	cc, err := parseFlags([]string{"-publishers", "120"})
 	if err != nil {
